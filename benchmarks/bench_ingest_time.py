@@ -17,11 +17,10 @@ warehouse:
     overlaps row shaping/linting of batch *k+1* with the commit of
     batch *k*.
 
-The timed path ingests with ``index=False`` — the loader default.
-Closure materialisation is a separate, explicitly requested phase
-(``zoom index build``); its cost is dominated by the lineage-row insert
-floor, which both ingestion paths share, so timing it here would only
-dilute the comparison being made.
+The timed path ingests without reachability labels — the loader
+default.  Label building is a separate, explicitly requested phase
+(``zoom index build`` or ``ingest_dataset(labels=True)``), so timing it
+here would only dilute the comparison being made.
 
 Tier selection honours ``ZOOM_BENCH_INGEST_TIERS`` (comma-separated
 subset of ``small,medium,large``) so CI smoke runs can stay cheap.  The

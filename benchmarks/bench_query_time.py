@@ -5,38 +5,27 @@ The paper reports average response times of 23 ms (small runs), 213 ms
 provenance of the run's final output — with every query under 30 s, using
 the compute-UAdmin-then-project strategy over the Oracle warehouse.
 
-Here the same query runs against the SQLite warehouse under four
+Here the same query runs against the SQLite warehouse under three
 reasoner strategies:
 
 ``cached`` / ``uncached``
     the recursive-CTE closure (the paper's query plan), with and without
     the reasoner's memoisation — the reasoner is re-created *cold* every
     round, so ``cached`` pays the closure too and the two mostly tie;
-``indexed``
-    the materialised lineage-closure index
-    (:mod:`repro.provenance.index`): the closure was paid once at
-    ingestion time, each query is a single range scan;
 ``labeled``
-    the compact reachability labels (:mod:`repro.provenance.labels`):
-    one interval + remainder row per *step* instead of one closure row
-    per (data, ancestor, input) triple — O(V) storage against the
-    closure's worst-case quadratic blow-up, at the price of a short
-    label traversal per query.
+    the compact reachability labels (:mod:`repro.provenance.labels`),
+    built once at ingestion time: one interval + remainder row per
+    *step*, read once per query round and traversed per closure.
 
-Three warehouses hold identical runs: the closure index is built only on
-the second and the labels only on the third, because the warehouse
-transparently serves ``admin_deep_provenance`` from an existing index —
-benchmarking ``cached`` against an indexed warehouse would measure the
-index twice, not the CTE.
+One warehouse holds the runs with their labels prebuilt; the recursive
+strategies never consult the labels, so all three measure against the
+same rows.
 
 The final test writes ``BENCH_query_time.json`` at the repository root:
 ``times_ms`` (mean ms/query per kind and strategy), ``build_ms`` (total
-index build time per kind and index kind) and ``storage_bytes`` (closure
-vs label rows, summed text lengths).  It asserts the amortisation claim
-(on medium and large runs an indexed query is at least twice as fast as
-a cold cached one) and the compactness claim (on large runs the labels
-take at least five times less space than the closure while answering
-within twice the indexed lookup time).
+label build time per kind) and ``storage_bytes`` (label rows, summed text
+lengths).  It asserts the amortisation claim: on medium and large runs a
+labeled query is at least twice as fast as a cold cached one.
 """
 
 from __future__ import annotations
@@ -53,52 +42,13 @@ from repro.warehouse.sqlite import SqliteWarehouse
 from .conftest import Workload, print_table
 
 KINDS = ["small", "medium", "large"]
-STRATEGIES = ["cached", "uncached", "indexed", "labeled"]
-
-#: Index kinds whose build time and storage footprint the report compares.
-INDEX_KINDS = ["closure", "labeled"]
+STRATEGIES = ["cached", "uncached", "labeled"]
 
 _TIMES = {}
 _BUILD_MS = {}
 _STORAGE = {}
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_query_time.json"
-
-
-def _load(workload: Workload, index_kind=None):
-    """A SQLite warehouse holding one run of each kind per workflow.
-
-    ``index_kind`` is ``None`` (no index), ``"closure"`` or ``"labeled"``;
-    when an index is built, the per-run-kind build time is accumulated.
-    """
-    warehouse = SqliteWarehouse()
-    handles = {kind: [] for kind in KINDS}
-    build_ms = {kind: 0.0 for kind in KINDS}
-    for _class_name, item in workload.all_items():
-        spec_id = warehouse.store_spec(item.generated.spec)
-        for kind in KINDS:
-            result = item.runs[kind][0]
-            run_id = warehouse.store_run(result.run, spec_id,
-                                         run_id=result.run.run_id)
-            if index_kind == "closure":
-                start = time.perf_counter()
-                warehouse.build_lineage_index(run_id)
-                build_ms[kind] += (time.perf_counter() - start) * 1000
-            elif index_kind == "labeled":
-                start = time.perf_counter()
-                warehouse.build_label_index(run_id)
-                build_ms[kind] += (time.perf_counter() - start) * 1000
-            handles[kind].append(run_id)
-    return warehouse, handles, build_ms
-
-
-def _closure_bytes(warehouse, run_ids):
-    """Total text bytes of the materialised closure rows of ``run_ids``."""
-    total = 0
-    for run_id in run_ids:
-        for row in warehouse.lineage_rows_raw(run_id):
-            total += len(run_id) + sum(len(column) for column in row)
-    return total
 
 
 def _label_bytes(warehouse, run_ids):
@@ -112,48 +62,33 @@ def _label_bytes(warehouse, run_ids):
 
 
 @pytest.fixture(scope="module")
-def plain_sqlite(workload: Workload):
-    """Un-indexed warehouse: queries recurse (cached/uncached strategies)."""
-    warehouse, handles, _build_ms = _load(workload)
-    yield warehouse, handles
-    warehouse.close()
-
-
-@pytest.fixture(scope="module")
-def indexed_sqlite(workload: Workload):
-    """Warehouse with every run's lineage closure prebuilt at ingestion."""
-    warehouse, handles, build_ms = _load(workload, index_kind="closure")
-    for kind in KINDS:
-        _BUILD_MS.setdefault(kind, {})["closure"] = build_ms[kind]
-        _STORAGE.setdefault(kind, {})["closure"] = _closure_bytes(
-            warehouse, handles[kind]
-        )
-    yield warehouse, handles
-    warehouse.close()
-
-
-@pytest.fixture(scope="module")
 def labeled_sqlite(workload: Workload):
-    """Warehouse with every run's reachability labels prebuilt."""
-    warehouse, handles, build_ms = _load(workload, index_kind="labeled")
+    """One run of each kind per workflow, with labels built at ingestion."""
+    warehouse = SqliteWarehouse()
+    handles = {kind: [] for kind in KINDS}
+    for _class_name, item in workload.all_items():
+        spec_id = warehouse.store_spec(item.generated.spec)
+        for kind in KINDS:
+            result = item.runs[kind][0]
+            run_id = warehouse.store_run(result.run, spec_id,
+                                         run_id=result.run.run_id)
+            start = time.perf_counter()
+            warehouse.build_label_index(run_id)
+            _BUILD_MS[kind] = _BUILD_MS.get(kind, 0.0) + (
+                time.perf_counter() - start
+            ) * 1000
+            handles[kind].append(run_id)
     for kind in KINDS:
-        _BUILD_MS.setdefault(kind, {})["labeled"] = build_ms[kind]
-        _STORAGE.setdefault(kind, {})["labeled"] = _label_bytes(
-            warehouse, handles[kind]
-        )
+        _STORAGE[kind] = _label_bytes(warehouse, handles[kind])
     yield warehouse, handles
     warehouse.close()
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_query_time_per_kind(benchmark, plain_sqlite, indexed_sqlite,
-                             labeled_sqlite, strategy, kind):
+def test_query_time_per_kind(benchmark, labeled_sqlite, strategy, kind):
     """Deep provenance of the final output, cold reasoner each round."""
-    warehouse, handles = {
-        "indexed": indexed_sqlite,
-        "labeled": labeled_sqlite,
-    }.get(strategy, plain_sqlite)
+    warehouse, handles = labeled_sqlite
     runs = handles[kind]
 
     def query_all():
@@ -177,8 +112,8 @@ def test_query_time_per_kind(benchmark, plain_sqlite, indexed_sqlite,
     assert per_query_ms < 30_000
 
 
-def test_query_time_report(benchmark, indexed_sqlite, labeled_sqlite):
-    """Emit BENCH_query_time.json; the index must amortise on big runs."""
+def test_query_time_report(benchmark, labeled_sqlite):
+    """Emit BENCH_query_time.json; the labels must amortise on big runs."""
 
     def snapshot():
         return dict(_TIMES)
@@ -194,20 +129,8 @@ def test_query_time_report(benchmark, indexed_sqlite, labeled_sqlite):
             }
             for kind in KINDS
         },
-        "build_ms": {
-            kind: {
-                index_kind: round(_BUILD_MS[kind][index_kind], 3)
-                for index_kind in INDEX_KINDS
-            }
-            for kind in KINDS
-        },
-        "storage_bytes": {
-            kind: {
-                index_kind: _STORAGE[kind][index_kind]
-                for index_kind in INDEX_KINDS
-            }
-            for kind in KINDS
-        },
+        "build_ms": {kind: round(_BUILD_MS[kind], 3) for kind in KINDS},
+        "storage_bytes": dict(_STORAGE),
     }
     _JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     times_ms = payload["times_ms"]
@@ -218,29 +141,18 @@ def test_query_time_report(benchmark, indexed_sqlite, labeled_sqlite):
          for kind in KINDS],
     )
     print_table(
-        "Index build time and storage (closure vs labels)",
-        ["kind", "closure ms", "labeled ms", "closure B", "labeled B"],
-        [[kind,
-          "%.1f" % payload["build_ms"][kind]["closure"],
-          "%.1f" % payload["build_ms"][kind]["labeled"],
-          payload["storage_bytes"][kind]["closure"],
-          payload["storage_bytes"][kind]["labeled"]]
+        "Label build time and storage",
+        ["kind", "build ms", "bytes"],
+        [[kind, "%.1f" % payload["build_ms"][kind],
+          payload["storage_bytes"][kind]]
          for kind in KINDS],
     )
     # Times grow with run kind under the recursive strategies.
     assert times_ms["small"]["cached"] <= times_ms["medium"]["cached"] \
         <= times_ms["large"]["cached"]
-    # The amortisation claim: once the ingestion-time closure is paid, a
-    # medium/large query from the index beats the cold recursive path 2x+.
+    # The amortisation claim: once the ingestion-time labels are paid, a
+    # medium/large labeled query beats the cold recursive path 2x+.
     for kind in ("medium", "large"):
-        assert times_ms[kind]["indexed"] * 2 <= times_ms[kind]["cached"], (
+        assert times_ms[kind]["labeled"] * 2 <= times_ms[kind]["cached"], (
             kind, times_ms[kind],
         )
-    # The compactness claim: on the deepest runs the labels take at least
-    # five times less space than the closure, and answer within twice the
-    # indexed lookup time.
-    storage = payload["storage_bytes"]["large"]
-    assert storage["labeled"] * 5 <= storage["closure"], storage
-    assert times_ms["large"]["labeled"] <= times_ms["large"]["indexed"] * 2, (
-        times_ms["large"],
-    )

@@ -5,17 +5,16 @@ federations of 1/2/4/8 shards:
 
 ``ingest``
     the write path of :meth:`store_many` over pre-prepared batches
-    carrying their lineage closures and labels.  The prepare stage (row
-    shaping, lint, closure computation) is deliberately done *before*
-    the clock starts — it is identical for every backend and GIL-bound,
-    so timing it would only dilute the thing sharding changes: each
-    shard's writer thread commits its slice of every batch concurrently,
-    and the dominant cost (the closure's ``INSERT ... SELECT``
-    expansion) runs in SQLite's C core with the GIL released, so the
-    commits genuinely overlap on a multi-core host.
+    carrying their reachability labels.  The prepare stage (row shaping,
+    lint, label computation) is deliberately done *before* the clock
+    starts — it is identical for every backend and GIL-bound, so timing
+    it would only dilute the thing sharding changes: each shard's writer
+    thread commits its slice of every batch concurrently, and the
+    ``executemany`` inserts run in SQLite's C core with the GIL released,
+    so the commits overlap on a multi-core host.
 ``query``
     the cross-run scatter-gather reads (``list_runs``, per-run row
-    fetches, index status) a federation must answer by merging every
+    fetches, label status) a federation must answer by merging every
     shard — the price paid for the parallel writes, bounded by the
     acceptance claim "within 2x of the single file".
 
@@ -49,8 +48,8 @@ from repro.workloads.runs import generate_run
 from .conftest import print_table
 
 #: (number of specs, runs per spec, target spec size, run class) per
-#: tier.  The large tier uses medium runs so the closure expansion — the
-#: parallelizable C-side work — dominates each shard's commit.
+#: tier.  The large tier uses medium runs so the row inserts — the
+#: parallelizable C-side work — dominate each shard's commit.
 TIERS = {
     "small": (2, 6, 10, "small"),
     "large": (3, 16, 14, "medium"),
@@ -97,10 +96,9 @@ def _workload(tier):
 def _prepared_batches(items):
     """The workload reduced to store_many-ready batches, prepare done.
 
-    ``index=True``/``labels=True`` attach each run's lineage closure and
-    reachability labels, making the timed commit the index-materialising
-    ingest configuration — the heaviest one, and the one whose cost
-    lives in SQLite's C core rather than under the GIL.
+    ``labels=True`` attaches each run's reachability labels, making the
+    timed commit the label-materialising ingest configuration — the
+    heaviest one the pipeline offers.
     """
     prepared = []
     for spec, results in items:
@@ -108,7 +106,7 @@ def _prepared_batches(items):
             task = _PrepareTask(
                 run=result.run, spec_id=spec.name,
                 run_id="%s/run%d" % (spec.name, number),
-                index=True, labels=True,
+                labels=True,
             )
             prepared.append(prepare_run(task))
     return [prepared[i:i + BATCH] for i in range(0, len(prepared), BATCH)]
@@ -186,7 +184,7 @@ def test_shard_query(benchmark, workloads, batches, tmp_path_factory,
     def scatter_gather():
         listing = warehouse.list_runs()
         warehouse.list_specs()
-        warehouse.lineage_index_status()
+        warehouse.label_index_status()
         for run_id in probes:
             warehouse.io_rows(run_id)
             warehouse.final_outputs(run_id)

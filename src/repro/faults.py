@@ -46,10 +46,10 @@ Instrumented sites (see :data:`SITES`):
     entry is still ``pending`` — recovery rolls the epoch *forward* by
     checksum.
 ``stream.delta``
-    The epoch is journalled committed but the incremental lineage/label
-    index deltas did not run — the warehouse's ``delta_epoch`` trails its
-    committed epoch (lint rule ``WH047``); recovery drops the stale
-    indexes so they rebuild lazily.
+    The epoch is journalled committed but the incremental label delta did
+    not run — the warehouse's ``delta_epoch`` trails its committed epoch
+    (lint rule ``WH047``); recovery drops the stale labels so they
+    rebuild lazily.
 ``stream.finalize``
     Inside :meth:`~repro.warehouse.streaming.StreamingIngestor.finalize_run`,
     before the open-run state row is deleted — the run stays open

@@ -50,21 +50,12 @@ RULES.register("WH036", LAYER_WAREHOUSE, ERROR,
                "view references a specification the warehouse does not hold")
 RULES.register("WH037", LAYER_WAREHOUSE, WARNING,
                "run has no step rows")
-RULES.register("WH038", LAYER_WAREHOUSE, ERROR,
-               "materialised lineage index is stale: stored closure rows"
-               " disagree with the run's io rows")
-RULES.register("WH039", LAYER_WAREHOUSE, WARNING,
-               "run is unindexed although the warehouse auto-indexes at"
-               " ingestion (auto_index=True)")
 RULES.register("WH040", LAYER_WAREHOUSE, WARNING,
                "warehouse is missing an expected secondary index (a crashed"
                " bulk load skipped the rebuild)")
 RULES.register("WH041", LAYER_WAREHOUSE, ERROR,
                "ingest journal row references a run the warehouse does not"
                " hold (torn ingest)")
-RULES.register("WH042", LAYER_WAREHOUSE, WARNING,
-               "predicted lineage-closure row count exceeds the"
-               " materialisation budget")
 RULES.register("WH043", LAYER_WAREHOUSE, ERROR,
                "materialised label index is stale or version-mismatched:"
                " stored reachability labels disagree with the run's io rows")
@@ -78,15 +69,8 @@ RULES.register("WH046", LAYER_WAREHOUSE, WARNING,
                "streaming run is still open at rest (its producer crashed"
                " or never finalized)")
 RULES.register("WH047", LAYER_WAREHOUSE, ERROR,
-               "streaming run's index deltas trail its committed epoch"
-               " (lineage/label indexes are stale)")
-
-#: Default ceiling for :func:`lint_closure_budget`'s predicted row count.
-#: Chosen so the paper-scale workloads (hundreds of steps) pass with a
-#: wide margin while a pathological deep-chain run (whose closure is
-#: quadratic in its step count) trips it before ``build_lineage_index``
-#: materialises millions of rows.
-DEFAULT_CLOSURE_ROW_THRESHOLD = 250_000
+               "streaming run's label deltas trail its committed epoch"
+               " (the label index is stale)")
 
 #: Default skew factor for :func:`lint_shard_topology` (``WH045``): the
 #: busiest shard may own up to this multiple of the mean runs-per-shard
@@ -190,65 +174,11 @@ def lint_run_rows(
     return findings
 
 
-def lint_closure_budget(
-    run_id: str,
-    steps: Sequence[Tuple[str, str]],
-    io_rows: Sequence[Tuple[str, str, str]],
-    user_inputs: Sequence[str],
-    threshold: int = DEFAULT_CLOSURE_ROW_THRESHOLD,
-    has_labels: bool = False,
-) -> List[Finding]:
-    """``WH042``: predict the lineage-closure row count, statically.
-
-    ``build_lineage_index`` stores one row per ``(data, ancestor)`` pair,
-    so a deep-chain run explodes quadratically.  This rule bounds the
-    closure *without computing it* via
-    :func:`~repro.provenance.labels.predict_closure_rows` — a topological
-    sweep propagating an upper bound on each step's ancestor-set size —
-    and charges every produced data object its producer's bound.  The
-    estimate is a true upper bound on the stored rows, cheap enough to run
-    at ingestion time; runs whose rows do not topologically sort (cycles —
-    reported by other rules) are skipped.  ``has_labels`` turns the
-    warning actionable: when the run already carries a label index the
-    finding says so, and otherwise it recommends building one — the
-    O(V) compact-label index answers the same queries without the
-    quadratic materialisation.
-    """
-    from ..provenance.labels import predict_closure_rows
-
-    if threshold <= 0 or not steps:
-        return []
-    predicted = predict_closure_rows(steps, io_rows, user_inputs)
-    if predicted is None:
-        return []  # cyclic rows: RUN/WH integrity rules report why
-    if predicted <= threshold:
-        return []
-    if has_labels:
-        hint = ("a label index is already built for this run — serve it"
-                " with the 'labeled' (or 'auto') strategy instead of"
-                " materialising the closure, or raise the threshold"
-                " (--closure-threshold / closure_row_threshold)")
-    else:
-        hint = ("build the compact label index instead ('zoom index build"
-                " --kind labeled') and serve this run with the 'labeled'"
-                " (or 'auto') strategy, or raise the threshold"
-                " (--closure-threshold / closure_row_threshold)")
-    return [RULES.finding(
-        "WH042", run_id,
-        "predicted lineage closure of ~%d row(s) exceeds the budget of %d%s"
-        % (predicted, threshold,
-           " (a compact label index exists for this run)" if has_labels
-           else ""),
-        hint=hint,
-    )]
-
-
 def lint_warehouse(
     warehouse: ProvenanceWarehouse,
     spec_ids: Optional[Sequence[str]] = None,
     run_ids: Optional[Sequence[str]] = None,
     check_minimality: bool = False,
-    closure_row_threshold: int = DEFAULT_CLOSURE_ROW_THRESHOLD,
     shard_skew_factor: float = DEFAULT_SHARD_SKEW,
     open_run_age: float = DEFAULT_OPEN_RUN_AGE,
 ) -> List[Finding]:
@@ -355,21 +285,8 @@ def lint_warehouse(
         findings.extend(
             f for f in lint_run_facts(facts) if f.rule_id in dataflow_only
         )
-        findings.extend(lint_lineage_index(
-            warehouse, run_id, steps, io_rows, user_inputs,
-        ))
         findings.extend(lint_label_index(
             warehouse, run_id, steps, io_rows, user_inputs,
-        ))
-        findings.extend(lint_auto_index_gap(warehouse, run_id))
-        try:
-            has_labels = warehouse.has_label_index(run_id)
-        except ZoomError:
-            has_labels = False
-        findings.extend(lint_closure_budget(
-            run_id, steps, io_rows, user_inputs,
-            threshold=closure_row_threshold,
-            has_labels=has_labels,
         ))
 
     if spec_ids is None and run_ids is None:
@@ -450,7 +367,7 @@ def lint_stream_states(
     open_run_age: float = DEFAULT_OPEN_RUN_AGE,
     now: Optional[float] = None,
 ) -> List[Finding]:
-    """``WH046``/``WH047``: open streaming runs and trailing index deltas.
+    """``WH046``/``WH047``: open streaming runs and trailing label deltas.
 
     ``WH046`` (warning) fires for every run still open for streaming
     appends whose ``opened_at`` is at least ``open_run_age`` seconds old
@@ -460,11 +377,11 @@ def lint_stream_states(
     finalize it.
 
     ``WH047`` (error) fires when a run's ``delta_epoch`` watermark
-    trails its committed epoch while a lineage or label index is
-    materialised: the epoch's rows committed but the crash hit before
-    the incremental index maintenance ran, so the indexes answer with
-    the previous epoch's closure.  ``recover()`` settles this by
-    dropping the stale indexes for lazy rebuild.
+    trails its committed epoch while a label index is materialised: the
+    epoch's rows committed but the crash hit before the incremental
+    label maintenance ran, so the labels answer with the previous
+    epoch's reachability.  ``recover()`` settles this by dropping the
+    stale labels for lazy rebuild.
     """
     stream_states = getattr(warehouse, "stream_states", None)
     if not callable(stream_states):
@@ -499,19 +416,16 @@ def lint_stream_states(
             ))
         if state.delta_epoch < state.epoch:
             try:
-                indexed = (
-                    warehouse.has_lineage_index(run_id)
-                    or warehouse.has_label_index(run_id)
-                )
+                indexed = warehouse.has_label_index(run_id)
             except ZoomError:
                 indexed = False
             if indexed:
                 findings.append(RULES.finding(
                     "WH047", run_id,
-                    "run %r committed epoch %d but its indexes were last"
-                    " maintained at epoch %d — lineage/label answers are"
+                    "run %r committed epoch %d but its labels were last"
+                    " maintained at epoch %d — labeled answers are"
                     " stale" % (run_id, state.epoch, state.delta_epoch),
-                    hint="run 'zoom recover' to drop the stale indexes"
+                    hint="run 'zoom recover' to drop the stale labels"
                          " (they rebuild lazily on the next query)",
                 ))
     return findings
@@ -593,71 +507,6 @@ def lint_shard_topology(
     return findings
 
 
-def lint_auto_index_gap(
-    warehouse: ProvenanceWarehouse, run_id: str
-) -> List[Finding]:
-    """``WH039``: an ``auto_index=True`` warehouse holding an unindexed run.
-
-    Every shipped ingestion path (``store_run``, the batch pipeline)
-    honours ``auto_index`` by building the lineage closure as the run goes
-    in, so an unindexed run on such a warehouse means some pipeline wrote
-    rows directly (e.g. a bare ``store_many``) and silently skipped the
-    build — queries quietly fall back to recursion.
-    """
-    if not getattr(warehouse, "auto_index", False):
-        return []
-    try:
-        if warehouse.has_lineage_index(run_id):
-            return []
-    except ZoomError:
-        return []  # unknown run: other rules report why
-    return [RULES.finding(
-        "WH039", run_id,
-        "run %r has no lineage index although the warehouse was opened"
-        " with auto_index=True" % run_id,
-        hint="an ingestion path skipped the index build; run 'zoom index"
-             " build' or rebuild via build_lineage_index(run_id)",
-    )]
-
-
-def lint_lineage_index(
-    warehouse: ProvenanceWarehouse,
-    run_id: str,
-    steps: Sequence[Tuple[str, str]],
-    io_rows: Sequence[Tuple[str, str, str]],
-    user_inputs: Sequence[str],
-) -> List[Finding]:
-    """``WH038``: detect a stale materialised lineage index.
-
-    The index is *derived* state; after any out-of-band edit to a run's
-    rows it silently keeps answering with the old closure.  This rule
-    recomputes the closure from the current rows and compares it with what
-    the warehouse stores, row for row.  Runs whose rows cannot be closed
-    (cycles, multi-producer data — already reported by other rules) are
-    skipped rather than crashed into.
-    """
-    from ..provenance.index import closure_table_rows
-
-    try:
-        if not warehouse.has_lineage_index(run_id):
-            return []
-        stored = warehouse.lineage_rows_raw(run_id)
-        expected = closure_table_rows(run_id, steps, io_rows, user_inputs)
-    except ZoomError:
-        return []  # rows too corrupt to close; other rules report why
-    if stored == expected:
-        return []
-    missing = len(expected - stored)
-    extra = len(stored - expected)
-    return [RULES.finding(
-        "WH038", run_id,
-        "lineage index disagrees with the io rows:"
-        " %d row(s) missing, %d stale" % (missing, extra),
-        hint="rebuild with warehouse.build_lineage_index(run_id,"
-             " rebuild=True) or 'zoom index build --rebuild'",
-    )]
-
-
 def lint_label_index(
     warehouse: ProvenanceWarehouse,
     run_id: str,
@@ -667,13 +516,12 @@ def lint_label_index(
 ) -> List[Finding]:
     """``WH043``: detect a stale or version-mismatched label index.
 
-    The ``WH038`` mirror for the compact reachability labels: the label
-    table is derived state, so an out-of-band edit to the run's rows (or
-    an encoding change between releases) leaves it silently answering
-    with the wrong reachability.  The rule recomputes the labels from the
-    current rows and compares them with what the warehouse stores, row
-    for row, and additionally checks the persisted encoding version
-    against the library's.  Runs whose rows cannot be labeled (cycles,
+    The compact reachability labels are derived state, so an out-of-band
+    edit to the run's rows (or an encoding change between releases)
+    leaves them silently answering with the wrong reachability.  The rule
+    recomputes the labels from the current rows and compares them with
+    what the warehouse stores, row for row, and additionally checks the
+    persisted encoding version against the library's.  Runs whose rows cannot be labeled (cycles,
     multi-producer data — already reported by other rules) are skipped
     rather than crashed into.
     """
@@ -691,8 +539,7 @@ def lint_label_index(
             "label index was written with encoding version %s but the"
             " library expects %d" % (version, LABELS_VERSION),
             hint="rebuild with warehouse.build_label_index(run_id,"
-                 " rebuild=True) or 'zoom index build --kind labeled"
-                 " --rebuild'",
+                 " rebuild=True) or 'zoom index build --rebuild'",
         )]
     try:
         stored = warehouse.label_rows_raw(run_id)
@@ -708,6 +555,5 @@ def lint_label_index(
         "label index disagrees with the io rows:"
         " %d row(s) missing, %d stale" % (missing, extra),
         hint="rebuild with warehouse.build_label_index(run_id,"
-             " rebuild=True) or 'zoom index build --kind labeled"
-             " --rebuild'",
+             " rebuild=True) or 'zoom index build --rebuild'",
     )]

@@ -6,24 +6,16 @@ from .derivation import (
     derivation_paths,
     shortest_derivation,
 )
-from .index import (
-    LineageClosure,
-    closure_from_rows,
-    closure_table_rows,
-    compute_lineage_closure,
-    project_closure,
-)
 from .invalidation import ReexecutionPlan, ReexecutionPlanner
 from .opm import account_overlap, export_account, export_opm, to_json
 from .queries import deep_provenance, immediate_provenance, reverse_provenance
-from .reasoner import ProvenanceReasoner
+from .reasoner import ProvenanceReasoner, project_closure
 from .result import ProvenanceResult, ProvenanceRow, ReverseProvenanceResult
 from .rundiff import EdgeDelta, ModuleDelta, RunDiff, diff_runs
 
 __all__ = [
     "DerivationPath",
     "EdgeDelta",
-    "LineageClosure",
     "ModuleDelta",
     "ProvenanceReasoner",
     "ProvenanceResult",
@@ -33,9 +25,6 @@ __all__ = [
     "ReverseProvenanceResult",
     "RunDiff",
     "account_overlap",
-    "closure_from_rows",
-    "closure_table_rows",
-    "compute_lineage_closure",
     "deep_provenance",
     "derivation_exists",
     "derivation_paths",

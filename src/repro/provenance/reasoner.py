@@ -13,52 +13,107 @@ than the initial query (avg 13 ms vs up to seconds).  The
   switching the user view re-traverses only in-memory state;
 * ``strategy="uncached"`` disables all memoisation, giving the naive
   baseline the ablation benchmark compares against;
-* ``strategy="indexed"`` goes one step further than the paper: the UAdmin
-  closure is materialised *in the warehouse* (the lineage-closure index of
-  :mod:`repro.provenance.index`), built lazily on a run's first query and
-  persisted, so even a cold process answers deep provenance with an
-  indexed range lookup instead of recursion — and view-level answers are
-  projected from those lookups through the cached composite structure;
-* ``strategy="labeled"`` keeps the indexed strategy's query shape but
-  serves UAdmin closures from the compact reachability labels of
-  :mod:`repro.provenance.labels` — O(V) stored rows per run instead of the
-  closure's O(reachable-pairs), per Bao & Davidson's labeling schemes;
-* ``strategy="auto"`` picks per run: labeled when the predicted closure
-  row count (lint rule ``WH042``'s estimator) exceeds the materialisation
-  budget, indexed otherwise.
+* ``strategy="labeled"`` goes one step further than the paper: UAdmin
+  closures come from the compact reachability labels of
+  :mod:`repro.provenance.labels` (O(V) stored rows per run, per Bao &
+  Davidson's labeling schemes), built lazily on a run's first query and
+  persisted, so even a cold process answers deep provenance without
+  recursion.  The labels are read from the warehouse once per run and
+  generation and kept resident; view-level answers are projected from
+  the admin closures they yield (:func:`project_closure`).
 
 All memoisation lives in bounded LRU caches
 (:class:`~repro.obs.cache.BoundedCache`): a long-lived reasoner serving
-many runs keeps at most ``run_cache_size`` materialised runs, and evicting
-a run cascades — its composite structures and UAdmin closures are
-invalidated in the same stroke, so the caches never hold derived state for
-a run that is no longer resident.  :meth:`stats` exposes per-cache hit,
-miss, eviction and size counters; the hot paths are timed in the default
+many runs keeps at most ``run_cache_size`` materialised runs (and as many
+runs' labels), and evicting a run cascades — its composite structures,
+UAdmin closures and labels are invalidated in the same stroke, so the
+caches never hold derived state for a run that is no longer resident.
+:meth:`stats` exposes per-cache hit, miss, eviction and size counters; the
+hot paths are timed in the default
 :class:`~repro.obs.metrics.MetricsRegistry` under ``reasoner.admin_deep``
 and ``reasoner.view_switch``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.composite import CompositeRun
-from ..core.errors import QueryError, UnknownEntityError
+from ..core.errors import HiddenDataError, QueryError, UnknownEntityError
+from ..core.spec import INPUT
 from ..core.view import UserView, admin_view
 from ..obs import BoundedCache, get_registry
 from ..run.run import WorkflowRun
 from ..warehouse.base import ProvenanceWarehouse
-from .index import project_closure
-from .labels import predict_closure_rows
+from .labels import LineageLabels
 from .queries import deep_provenance, immediate_provenance, reverse_provenance
-from .result import ProvenanceResult, ReverseProvenanceResult
+from .result import ProvenanceResult, ProvenanceRow, ReverseProvenanceResult
 
-_STRATEGIES = ("cached", "uncached", "indexed", "labeled", "auto")
+_STRATEGIES = ("cached", "uncached", "labeled")
 
 #: Default capacities: generous for one service process, but bounded.
 DEFAULT_RUN_CACHE_SIZE = 256
 DEFAULT_COMPOSITE_CACHE_SIZE = 1024
 DEFAULT_CLOSURE_CACHE_SIZE = 4096
+
+
+def project_closure(
+    composite_run: CompositeRun,
+    admin_lookup: Callable[[str], ProvenanceResult],
+    data_id: str,
+) -> ProvenanceResult:
+    """Deep provenance under a view, projected from UAdmin closures.
+
+    ``admin_lookup`` must return the UAdmin deep provenance of a data
+    object (typically a memoised label lookup).  The projection folds
+    whole admin closures into the induced run: every ancestor step maps to
+    its virtual step, and — because composite executions can pull in data
+    that is *not* in the target's admin lineage (a merged step's other
+    inputs) — the fold iterates until no virtual step adds new visible
+    inputs.  The fixpoint equals the reference BFS of
+    :func:`~repro.provenance.queries.deep_provenance` row for row.
+    """
+    if not composite_run.is_visible(data_id):
+        raise HiddenDataError(
+            "data %r is internal to a composite execution under view %r"
+            % (data_id, composite_run.view.name)
+        )
+    result = ProvenanceResult(
+        target=data_id, view_name=composite_run.view.name
+    )
+    reached: Set[str] = set()
+    seen_data: Set[str] = set()
+    frontier: Deque[str] = deque([data_id])
+    while frontier:
+        current = frontier.popleft()
+        if current in seen_data:
+            continue
+        seen_data.add(current)
+        virtual_producer = composite_run.producer(current)
+        if virtual_producer == INPUT:
+            result.user_inputs.add(current)
+            continue
+        if virtual_producer in reached:
+            continue
+        # One lookup covers the whole admin lineage of ``current``; every
+        # ancestor's virtual step joins in a single stroke.
+        admin = admin_lookup(current)
+        fresh = {composite_run.group_of(s) for s in admin.steps()}
+        fresh.add(virtual_producer)
+        fresh -= reached
+        reached |= fresh
+        for virtual_step in fresh:
+            frontier.extend(composite_run.inputs_of(virtual_step))
+    for virtual_step in sorted(reached):
+        composite = composite_run.composite_step(virtual_step).composite
+        for data_in in sorted(composite_run.inputs_of(virtual_step)):
+            result.rows.append(
+                ProvenanceRow(
+                    step_id=virtual_step, module=composite, data_in=data_in
+                )
+            )
+    return result
 
 
 class ProvenanceReasoner:
@@ -71,23 +126,15 @@ class ProvenanceReasoner:
     strategy:
         ``"cached"`` (default) memoises materialised runs, composite-run
         structures and UAdmin closures; ``"uncached"`` recomputes
-        everything on each query; ``"indexed"`` memoises like ``cached``
-        *and* serves UAdmin closures from the warehouse's materialised
-        lineage index, building it (once, persistently) on a run's first
-        query; ``"labeled"`` does the same from the compact reachability
-        labels (``build_label_index`` / ``label_lookup``); ``"auto"``
-        resolves to labeled or indexed per run, by the predicted closure
-        row count against ``closure_row_threshold``.
+        everything on each query; ``"labeled"`` memoises like ``cached``
+        *and* serves UAdmin closures from the run's reachability labels
+        (``build_label_index`` / ``lineage_labels``), building them (once,
+        persistently) on the run's first query.
     run_cache_size, composite_cache_size, closure_cache_size:
-        LRU capacities of the three caches (runs, per-view composite
-        structures, UAdmin closures).  Evicting a run invalidates its
-        dependent composite and closure entries.
-    closure_row_threshold:
-        The ``strategy="auto"`` budget: a run whose predicted closure
-        exceeds this many rows is served from labels.  ``None`` (default)
-        uses lint rule ``WH042``'s
-        :data:`~repro.lint.rules_warehouse.DEFAULT_CLOSURE_ROW_THRESHOLD`,
-        so the reasoner switches exactly where the linter starts warning.
+        LRU capacities of the caches (runs — and, under ``labeled``, the
+        runs' resident labels — per-view composite structures, UAdmin
+        closures).  Evicting a run invalidates its dependent composite,
+        closure and label entries.
     """
 
     def __init__(
@@ -97,7 +144,6 @@ class ProvenanceReasoner:
         run_cache_size: int = DEFAULT_RUN_CACHE_SIZE,
         composite_cache_size: int = DEFAULT_COMPOSITE_CACHE_SIZE,
         closure_cache_size: int = DEFAULT_CLOSURE_CACHE_SIZE,
-        closure_row_threshold: Optional[int] = None,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise QueryError(
@@ -118,18 +164,14 @@ class ProvenanceReasoner:
         self._admin_closure_cache: BoundedCache[
             Tuple[str, str], ProvenanceResult
         ] = BoundedCache(closure_cache_size, name="closures")
+        # The labeled strategy's resident labels, read from the warehouse
+        # once per run and generation.
+        self._labels_cache: BoundedCache[str, LineageLabels] = BoundedCache(
+            run_cache_size, name="labels"
+        )
         # A run leaving the run cache (eviction or explicit invalidation)
         # takes its derived state with it.
         self._run_cache.add_invalidation_hook(self._on_run_removed)
-        # Runs whose warehouse lineage index this reasoner has verified,
-        # so the indexed strategy checks/builds at most once per run.
-        self._indexed_runs: Set[str] = set()
-        # Same memo for the label index (labeled/auto strategies).
-        self._labeled_runs: Set[str] = set()
-        # strategy="auto": the per-run labeled/indexed decision, memoised
-        # so the row-count prediction runs once per run per reasoner.
-        self.closure_row_threshold = closure_row_threshold
-        self._auto_choice: Dict[str, str] = {}
         # Callables fired (with the run id) by invalidate_run, so layers
         # holding caches derived from this reasoner's answers — e.g. the
         # serve layer's per-view result cache — drop theirs in the same
@@ -145,20 +187,18 @@ class ProvenanceReasoner:
     ) -> None:
         self._composite_cache.invalidate_where(lambda key: key[0] == run_id)
         self._admin_closure_cache.invalidate_where(lambda key: key[0] == run_id)
+        self._labels_cache.invalidate(run_id)
 
     def clear_cache(self) -> None:
         """Drop all memoised state and zero the cache counters.
 
-        The warehouse's persistent lineage index survives — only this
-        reasoner's in-process memo of which runs are indexed is forgotten
-        (re-verified, cheaply, on the next indexed query).
+        The warehouse's persistent label index survives; only this
+        reasoner's resident copy is forgotten (re-read on the next
+        labeled query).
         """
         for cache in self._caches():
             cache.clear()
             cache.reset_stats()
-        self._indexed_runs.clear()
-        self._labeled_runs.clear()
-        self._auto_choice.clear()
 
     def add_invalidation_listener(self, listener: Callable[[str], None]) -> None:
         """Register ``listener(run_id)`` to be fired by :meth:`invalidate_run`."""
@@ -174,37 +214,26 @@ class ProvenanceReasoner:
             pass
 
     def invalidate_run(self, run_id: str) -> None:
-        """Drop one run's cached state (run, composites, closures).
+        """Drop one run's cached state (run, composites, closures, labels).
 
         Call after the underlying warehouse data for ``run_id`` changes —
         e.g. new annotations or a re-execution stored under the same id —
-        so no stale derived state survives.  The run's *persistent* lineage
+        so no stale derived state survives.  The run's *persistent* label
         index is dropped too: it was derived from the rows that changed.
-        The next indexed query rebuilds it from the fresh rows.
+        The next labeled query rebuilds it from the fresh rows.
 
-        The run's generation is bumped on every cache **first**, so a
-        concurrent ``get_or_build`` whose factory read the pre-invalidation
-        rows cannot publish its stale result afterwards (it is returned to
-        that one caller but never cached).  Registered invalidation
-        listeners fire last, giving higher layers (the serve result cache)
-        the same fan-out.
+        The persistent labels are dropped **before** the run's generation
+        is bumped on every cache, so a concurrent ``get_or_build`` whose
+        factory read the pre-invalidation rows or labels cannot publish
+        its stale result afterwards (it is returned to that one caller but
+        never cached).  Registered invalidation listeners fire last,
+        giving higher layers (the serve result cache) the same fan-out.
         """
-        for cache in self._caches():
-            cache.bump_generation(run_id)
-        if not self._run_cache.invalidate(run_id):
-            # The run itself was not cached; derived state may still be.
-            self._on_run_removed(run_id, None, "invalidated")  # type: ignore[arg-type]
-        self._indexed_runs.discard(run_id)
-        self._labeled_runs.discard(run_id)
-        self._auto_choice.pop(run_id, None)
-        try:
-            self.warehouse.drop_lineage_index(run_id)
-        except UnknownEntityError:
-            pass  # the run itself is gone; nothing left to drop
         try:
             self.warehouse.drop_label_index(run_id)
         except UnknownEntityError:
             pass  # the run itself is gone; nothing left to drop
+        self._drop_run_state(run_id, "invalidated")
         for listener in list(self._invalidation_listeners):
             listener(run_id)
 
@@ -213,24 +242,25 @@ class ProvenanceReasoner:
 
         The streaming counterpart of :meth:`invalidate_run`: a committed
         epoch *extended* the run's rows — it did not corrupt them — so
-        the in-process memos (run, composites, closures) are stale and
-        must go, but the warehouse's persistent lineage/label indexes
-        were already advanced by the streaming ingestor's delta path and
+        the in-process memos (run, composites, closures, resident labels)
+        are stale and must go, but the warehouse's persistent label index
+        was already advanced by the streaming ingestor's delta path and
         MUST survive.  Generations are bumped first for the same
-        stale-publish race :meth:`invalidate_run` documents; the
-        ``_indexed_runs`` / ``_labeled_runs`` memos are kept because the
-        persistent indexes are still valid.  Registered invalidation
-        listeners fire last so the serve layer drops its derived results
-        for the run in the same stroke.
+        stale-publish race :meth:`invalidate_run` documents.  Registered
+        invalidation listeners fire last so the serve layer drops its
+        derived results for the run in the same stroke.
         """
-        for cache in self._caches():
-            cache.bump_generation(run_id)
-        if not self._run_cache.invalidate(run_id):
-            self._on_run_removed(run_id, None, "refreshed")  # type: ignore[arg-type]
-        self._auto_choice.pop(run_id, None)
+        self._drop_run_state(run_id, "refreshed")
         get_registry().counter("reasoner.refreshes").increment()
         for listener in list(self._invalidation_listeners):
             listener(run_id)
+
+    def _drop_run_state(self, run_id: str, reason: str) -> None:
+        for cache in self._caches():
+            cache.bump_generation(run_id)
+        if not self._run_cache.invalidate(run_id):
+            # The run itself was not cached; derived state may still be.
+            self._on_run_removed(run_id, None, reason)  # type: ignore[arg-type]
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Per-cache hit/miss/eviction/size counters, by cache name."""
@@ -239,7 +269,12 @@ class ProvenanceReasoner:
         }
 
     def _caches(self) -> Tuple[BoundedCache, ...]:
-        return (self._run_cache, self._composite_cache, self._admin_closure_cache)
+        return (
+            self._run_cache,
+            self._composite_cache,
+            self._admin_closure_cache,
+            self._labels_cache,
+        )
 
     def _materialize_run(self, run_id: str) -> WorkflowRun:
         if self.strategy == "uncached":
@@ -267,27 +302,17 @@ class ProvenanceReasoner:
 
         This is the recursive-SQL (or BFS) query whose cost dominates the
         paper's response-time experiment; under the cached strategy it runs
-        once per (run, data) pair.  Under the indexed strategy it is a
-        range lookup in the materialised lineage index; under the labeled
-        strategy an upward traversal over the compact reachability labels
-        (both built on the run's first query, persisted in the warehouse).
+        once per (run, data) pair.  Under the labeled strategy it is an
+        upward traversal over the run's resident reachability labels
+        (built on the run's first query, persisted in the warehouse).
         """
-        strategy = self._resolve_strategy(run_id)
-        if strategy == "indexed":
-            self._ensure_index(run_id)
-            return self._admin_closure_cache.get_or_build(
-                (run_id, data_id),
-                lambda: self._indexed_lookup(run_id, data_id),
-                scope=run_id,
-            )
-        if strategy == "labeled":
-            self._ensure_labels(run_id)
+        if self.strategy == "labeled":
             return self._admin_closure_cache.get_or_build(
                 (run_id, data_id),
                 lambda: self._labeled_lookup(run_id, data_id),
                 scope=run_id,
             )
-        if strategy == "uncached":
+        if self.strategy == "uncached":
             return self._timed_closure(run_id, data_id)
         return self._admin_closure_cache.get_or_build(
             (run_id, data_id),
@@ -295,81 +320,51 @@ class ProvenanceReasoner:
             scope=run_id,
         )
 
-    def _resolve_strategy(self, run_id: str) -> str:
-        """The concrete strategy serving this run (settles ``"auto"``).
+    def _labels(self, run_id: str) -> LineageLabels:
+        """The run's resident labels: built if missing, read once per
+        generation."""
+        return self._labels_cache.get_or_build(
+            run_id, lambda: self._read_labels(run_id), scope=run_id
+        )
 
-        ``auto`` decides per run, once: labeled when ``WH042``'s predicted
-        closure row count exceeds the budget (materialising the closure is
-        exactly what the linter warns against), indexed otherwise.  Runs
-        whose rows do not topologically sort fall through to indexed — the
-        build will report the corruption either way.
-        """
-        if self.strategy != "auto":
-            return self.strategy
-        choice = self._auto_choice.get(run_id)
-        if choice is None:
-            predicted = predict_closure_rows(
-                self.warehouse.steps_of_run(run_id),
-                self.warehouse.io_rows(run_id),
-                sorted(self.warehouse.user_inputs(run_id)),
-            )
-            threshold = self._auto_threshold()
-            choice = (
-                "labeled"
-                if predicted is not None and predicted > threshold
-                else "indexed"
-            )
-            self._auto_choice[run_id] = choice
-        return choice
-
-    def _auto_threshold(self) -> int:
-        if self.closure_row_threshold is not None:
-            return self.closure_row_threshold
-        # Late import: repro.lint pulls in the warehouse layer at import
-        # time, so binding it eagerly here would cycle the import graph.
-        from ..lint.rules_warehouse import DEFAULT_CLOSURE_ROW_THRESHOLD
-
-        return DEFAULT_CLOSURE_ROW_THRESHOLD
-
-    def _ensure_index(self, run_id: str) -> None:
-        """Build (or verify, once per reasoner) the run's lineage index."""
-        if run_id in self._indexed_runs:
-            return
-        self.warehouse.build_lineage_index(run_id)
-        self._indexed_runs.add(run_id)
-
-    def _ensure_labels(self, run_id: str) -> None:
-        """Build (or verify, once per reasoner) the run's label index."""
-        if run_id in self._labeled_runs:
-            return
+    def _read_labels(self, run_id: str) -> LineageLabels:
         self.warehouse.build_label_index(run_id)
-        self._labeled_runs.add(run_id)
+        return self.warehouse.lineage_labels(run_id)
 
     def ensure_run_ready(self, run_id: str) -> None:
-        """Materialise whatever persistent index the strategy serves from.
+        """Build the labels the ``labeled`` strategy serves from.
 
-        The owner-thread prebuild hook: index and label builds are
-        warehouse *writes*, so a multi-threaded caller (the serve layer's
+        The owner-thread prebuild hook: label builds are warehouse
+        *writes*, so a multi-threaded caller (the serve layer's
         ``warm()``) runs this on the owning thread before fanning queries
-        out to workers.  A no-op for the cached/uncached strategies.
+        out to workers.  The labels are read on the run's first query,
+        not here.  A no-op for the cached/uncached strategies.
         """
-        strategy = self._resolve_strategy(run_id)
-        if strategy == "indexed":
-            self._ensure_index(run_id)
-        elif strategy == "labeled":
-            self._ensure_labels(run_id)
-
-    def _indexed_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        with get_registry().time("index.lookup"):
-            return self.warehouse.lineage_lookup(run_id, data_id)
+        if self.strategy == "labeled":
+            self.warehouse.build_label_index(run_id)
 
     def _labeled_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
+        labels = self._labels(run_id)
+        if data_id not in labels.producer:
+            # Unknown to the run raises UnknownEntityError here; a known
+            # object the labels do not cover falls through to
+            # result_for's WarehouseError.
+            self.warehouse.producer_of(run_id, data_id)
         with get_registry().time("labels.lookup"):
-            return self.warehouse.label_lookup(run_id, data_id)
+            return labels.result_for(data_id)
 
     def _timed_closure(self, run_id: str, data_id: str) -> ProvenanceResult:
         with get_registry().time("reasoner.admin_deep"):
             return self.warehouse.admin_deep_provenance(run_id, data_id)
+
+    def _view_deep(
+        self, run_id: str, composite: CompositeRun, data_id: str
+    ) -> ProvenanceResult:
+        if self.strategy == "labeled":
+            return project_closure(
+                composite, lambda d: self.admin_deep(run_id, d), data_id
+            )
+        return deep_provenance(composite, data_id)
 
     def deep(
         self, run_id: str, data_id: str, view: Optional[UserView] = None
@@ -379,13 +374,7 @@ class ProvenanceReasoner:
             return self.admin_deep(run_id, data_id)
         with get_registry().time("reasoner.view_switch"):
             composite = self.composite_run(run_id, view)
-            if self._resolve_strategy(run_id) in ("indexed", "labeled"):
-                return project_closure(
-                    composite,
-                    lambda d: self.admin_deep(run_id, d),
-                    data_id,
-                )
-            return deep_provenance(composite, data_id)
+            return self._view_deep(run_id, composite, data_id)
 
     def deep_many(
         self,
@@ -395,8 +384,8 @@ class ProvenanceReasoner:
     ) -> Dict[str, ProvenanceResult]:
         """Deep provenance of many objects of one run, batched.
 
-        Per-query setup is paid once for the whole batch: the lineage (or
-        label) index is verified/built once and the composite structure is
+        Per-query setup is paid once for the whole batch: the run's labels
+        are read (or built) once and the composite structure is
         materialised once per call even under the uncached strategy — the
         batch is one query, not N.  Duplicate data ids are answered once:
         the batch is deduplicated (first-occurrence order) before fan-out,
@@ -405,11 +394,7 @@ class ProvenanceReasoner:
         """
         deduped = list(dict.fromkeys(data_ids))
         results: Dict[str, ProvenanceResult] = {}
-        strategy = self._resolve_strategy(run_id)
-        if strategy == "indexed":
-            self._ensure_index(run_id)
-        elif strategy == "labeled":
-            self._ensure_labels(run_id)
+        self.ensure_run_ready(run_id)
         if view is None:
             for data_id in deduped:
                 results[data_id] = self.admin_deep(run_id, data_id)
@@ -417,14 +402,7 @@ class ProvenanceReasoner:
         composite = self.composite_run(run_id, view)
         for data_id in deduped:
             with get_registry().time("reasoner.view_switch"):
-                if strategy in ("indexed", "labeled"):
-                    results[data_id] = project_closure(
-                        composite,
-                        lambda d: self.admin_deep(run_id, d),
-                        data_id,
-                    )
-                else:
-                    results[data_id] = deep_provenance(composite, data_id)
+                results[data_id] = self._view_deep(run_id, composite, data_id)
         return results
 
     def immediate(

@@ -1,9 +1,12 @@
 """Provenance warehouse: relational storage with a recursive closure.
 
-Two interchangeable backends implement the same interface: a pure-Python
-in-memory store and a SQLite store whose deep-provenance query uses a
+Interchangeable backends implement the same interface: a pure-Python
+in-memory store, a SQLite store whose deep-provenance query uses a
 recursive common table expression (the stdlib analogue of the Oracle
-``CONNECT BY`` queries in the paper's prototype).
+``CONNECT BY`` queries in the paper's prototype), and a sharded
+federation of SQLite files.  Each persists one reachability index, the
+compact labels of :mod:`repro.provenance.labels`
+(``build_label_index`` / ``lineage_labels``).
 """
 
 from .base import ProvenanceWarehouse, StreamState
@@ -17,7 +20,7 @@ from .loader import LoadedSpec, load_dataset, load_simulation, load_spec
 from .memory import InMemoryWarehouse
 from .pipeline import (
     PreparedRun,
-    build_lineage_indexes,
+    build_label_indexes,
     ingest_dataset,
     prepare_run,
 )
@@ -78,7 +81,7 @@ __all__ = [
     "StreamState",
     "StreamingIngestor",
     "WarehouseReport",
-    "build_lineage_indexes",
+    "build_label_indexes",
     "checksum_stored_run",
     "chunk_log",
     "dump_warehouse",

@@ -10,7 +10,10 @@ backend-agnostic.  The interface has three layers:
   (steps, the ``io`` read/write relation, user inputs, final outputs);
 * **recursive closure**: :meth:`admin_deep_provenance` — deep provenance
   at the finest (UAdmin) granularity, each backend using its natural
-  recursion mechanism.
+  recursion mechanism;
+* **reachability labels**: the one persistent reachability index
+  (:mod:`repro.provenance.labels`), built by :meth:`build_label_index`
+  and handed back whole by :meth:`lineage_labels`.
 
 Run reconstruction (:meth:`get_run`) is implemented here once, from the
 row-level primitives, mirroring how a run graph is rebuilt from a workflow
@@ -45,7 +48,6 @@ from ..run.run import WorkflowRun
 from .schema import DIR_OUT
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids an import cycle
-    from ..provenance.index import LineageClosure
     from ..provenance.labels import LineageLabels
     from .pipeline import PreparedRun
     from .recovery import JournalEntry, QuarantineRecord
@@ -60,10 +62,9 @@ class StreamState:
     appends; ``checksum`` is the cumulative
     :func:`~repro.warehouse.recovery.run_checksum` as of that epoch — the
     consistent prefix a torn append is truncated back to.  ``delta_epoch``
-    is the epoch through which the lineage/label indexes were maintained;
-    it trailing ``epoch`` means the indexes are stale (lint rule
-    ``WH047``).  The record's *presence* is the open marker: finalize
-    deletes it.
+    is the epoch through which the label index was maintained; it
+    trailing ``epoch`` means the labels are stale (lint rule ``WH047``).
+    The record's *presence* is the open marker: finalize deletes it.
     """
 
     run_id: str
@@ -152,12 +153,8 @@ class ProvenanceWarehouse(ABC):
         run graphs and matched them against their specs; backends only
         enforce id freshness and spec existence, then commit every run of
         the batch atomically — on any error nothing of the batch is
-        stored.  A prepared run carrying a ``closure`` gets its lineage
-        index persisted in the same transaction.  Unlike :meth:`store_run`
-        this primitive never consults ``auto_index`` — the pipeline
-        decides whether closures are computed (provlint's ``WH039`` flags
-        ingestion paths that skip them on an ``auto_index=True``
-        warehouse).
+        stored.  A prepared run carrying ``labels`` gets its label index
+        persisted in the same transaction.
 
         Both shipped backends implement it; third-party backends inherit
         this default, which refuses rather than silently degrading.
@@ -300,7 +297,7 @@ class ProvenanceWarehouse(ABC):
         )
 
     def stream_mark_delta(self, run_id: str, epoch: int) -> None:
-        """Record that the lineage/label indexes were maintained through
+        """Record that the label index was maintained through
         ``epoch`` (the ``delta_epoch`` advance, after the epoch committed)."""
         raise NotImplementedError(
             "%s does not implement streaming ingestion" % type(self).__name__
@@ -409,94 +406,18 @@ class ProvenanceWarehouse(ABC):
         result's ``user_inputs``.
         """
 
-    # ------------------------------------------------------------------
-    # Materialized lineage-closure index
-    # ------------------------------------------------------------------
-
-    def build_lineage_index(self, run_id: str, rebuild: bool = False) -> int:
-        """Materialise (and persist) the run's lineage closure.
-
-        One topological pass over the run's rows
-        (:func:`~repro.provenance.index.compute_lineage_closure`), then one
-        bulk store; afterwards :meth:`admin_deep_provenance` answers from
-        the index with no recursion.  Idempotent: an already-indexed run is
-        left untouched unless ``rebuild`` is true.  Returns the number of
-        closure rows the index holds.  Build time accumulates under the
-        ``index.build`` timer.
-        """
-        from ..obs.metrics import get_registry  # late: keep import graph acyclic
-        from ..provenance.index import compute_lineage_closure
-
-        existing = self.lineage_row_count(run_id)
-        if existing is not None and not rebuild:
-            return existing
-        with get_registry().time("index.build"):
-            closure = compute_lineage_closure(self, run_id)
-            if existing is not None:
-                self.drop_lineage_index(run_id)
-            self._store_lineage_closure(closure)
-        return closure.num_rows()
-
-    @abstractmethod
-    def _store_lineage_closure(self, closure: "LineageClosure") -> None:
-        """Persist a freshly computed closure (internal; bulk, transactional)."""
-
-    def extend_lineage_index(
-        self, run_id: str, rows: Sequence[Tuple[str, str, str]]
-    ) -> int:
-        """Append freshly derived closure rows to an existing index.
-
-        The streaming delta path: an append-only DAG never changes an
-        existing data object's ancestor set, so a committed epoch only
-        *adds* ``(data_id, step_id, data_in)`` rows for the new frontier
-        (:func:`~repro.provenance.index.closure_delta_rows`).  Returns the
-        new total row count.  Raises :class:`WarehouseError` when the run
-        is not indexed — the caller falls back to a full build.
-        """
-        raise NotImplementedError(
-            "%s does not implement incremental lineage maintenance"
-            % type(self).__name__
-        )
-
-    @abstractmethod
     def has_lineage_index(self, run_id: str) -> bool:
-        """Whether the run's lineage closure is materialised."""
+        """Always ``False``: no backend keeps a materialised lineage closure.
 
-    @abstractmethod
-    def lineage_row_count(self, run_id: str) -> Optional[int]:
-        """Closure rows stored for a run, or ``None`` when not indexed."""
-
-    @abstractmethod
-    def drop_lineage_index(self, run_id: Optional[str] = None) -> List[str]:
-        """Discard the closure of one run (or of every run); returns the
-        run ids whose index was dropped."""
-
-    @abstractmethod
-    def lineage_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        """Deep provenance straight from the materialised closure.
-
-        Raises :class:`WarehouseError` when the run is not indexed — the
-        caller (reasoner or :meth:`admin_deep_provenance`) decides whether
-        to build or to fall back to recursion.
+        Kept only because the repository benchmark's tracer
+        (``perfbench/common.py``) wraps this name on the warehouse it
+        builds; labels are the one persistent reachability index
+        (:meth:`has_label_index`).
         """
-
-    @abstractmethod
-    def lineage_rows_raw(self, run_id: str) -> Set[Tuple[str, str, str]]:
-        """The stored ``(data_id, step_id, data_in)`` closure rows, as-is.
-
-        No validation — :mod:`repro.lint` compares these against a fresh
-        recomputation to detect a stale index (rule ``WH038``).
-        """
-
-    def lineage_index_status(self) -> Dict[str, Optional[int]]:
-        """Per-run index state: closure row count, or ``None`` if unbuilt."""
-        return {
-            run_id: self.lineage_row_count(run_id)
-            for run_id in self.list_runs()
-        }
+        return False
 
     # ------------------------------------------------------------------
-    # Compact reachability labels (the closure's O(V) twin)
+    # Compact reachability labels (the one persistent reachability index)
     # ------------------------------------------------------------------
 
     def build_label_index(self, run_id: str, rebuild: bool = False) -> int:
@@ -505,7 +426,7 @@ class ProvenanceWarehouse(ABC):
         One topological pass
         (:func:`~repro.provenance.labels.compute_lineage_labels`), then one
         bulk store; afterwards :meth:`label_lookup` answers deep provenance
-        from O(V) stored rows instead of the closure's O(reachable-pairs).
+        from O(V) stored rows, without recursion.
         Idempotent: an already-labelled run is left untouched unless
         ``rebuild`` is true.  Returns the number of label rows (one per
         step).  Build time accumulates under the ``labels.build`` timer.
@@ -547,13 +468,26 @@ class ProvenanceWarehouse(ABC):
         run ids whose labels were dropped."""
 
     @abstractmethod
+    def lineage_labels(self, run_id: str) -> "LineageLabels":
+        """The run's stored reachability labels as one resident object.
+
+        Backends holding the object return it as stored; row stores
+        rehydrate it from the label, step and io rows.  Raises
+        :class:`UnknownEntityError` for an unknown run and
+        :class:`WarehouseError` when the run carries no label index.
+        """
+
     def label_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
         """Deep provenance from the stored labels: an upward traversal
         over tree-parent + remainder edges, touching only the ancestors.
 
-        Row-identical to :meth:`lineage_lookup`.  Raises
-        :class:`WarehouseError` when the run carries no label index.
+        Row-identical to :meth:`admin_deep_provenance`.  Raises
+        :class:`UnknownEntityError` for an unknown run or data id and
+        :class:`WarehouseError` when the labels do not cover the object
+        (no label index, or one that trails the run's rows).
         """
+        self.producer_of(run_id, data_id)
+        return self.lineage_labels(run_id).result_for(data_id)
 
     @abstractmethod
     def label_rows_raw(self, run_id: str) -> Set[Tuple[str, int, int, str, str]]:
@@ -573,9 +507,9 @@ class ProvenanceWarehouse(ABC):
 
     @abstractmethod
     def delete_run(self, run_id: str) -> None:
-        """Remove a run and every dependent row (io, annotations, lineage).
+        """Remove a run and every dependent row (io, annotations, labels).
 
-        Re-ingestion after a delete gets a clean slate; the lineage index
+        Re-ingestion after a delete gets a clean slate; the label index
         of the deleted run is dropped with it.
         """
 

@@ -8,8 +8,8 @@ workload into the two halves every provenance loader has:
 * **prepare** — per-run work that is a *pure function* of the run: graph
   validation, shaping the relational rows (steps, io, user inputs, final
   outputs), computing the raw lint findings over those rows, and — when
-  ingestion-time indexing is on — the lineage closure
-  (:func:`~repro.provenance.index.closure_from_rows`).  Pure work fans out
+  ingestion-time labelling is on — the reachability labels
+  (:func:`~repro.provenance.labels.labels_from_rows`).  Pure work fans out
   over a thread or process pool and arrives back in deterministic input
   order.
 * **write** — committing a whole batch of prepared runs to the warehouse
@@ -80,7 +80,6 @@ from .schema import DIR_IN, DIR_OUT
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids import cycles
     from ..lint.findings import Finding
-    from ..provenance.index import LineageClosure
     from ..provenance.labels import LineageLabels
 
 #: Default number of prepared runs committed per transaction.
@@ -105,7 +104,6 @@ class PreparedRun:
     user_inputs: List[str] = field(default_factory=list)
     final_outputs: List[str] = field(default_factory=list)
     findings: List["Finding"] = field(default_factory=list)
-    closure: Optional["LineageClosure"] = None
     labels: Optional["LineageLabels"] = None
     #: Deferred ``run.validate()`` failure: raised at gate time, *after*
     #: the lint gate, mirroring the serial lint-then-store order.
@@ -123,21 +121,19 @@ class _PrepareTask:
     run: WorkflowRun
     spec_id: str
     run_id: str
-    index: bool
     labels: bool = False
 
 
 def prepare_run(task: _PrepareTask) -> PreparedRun:
-    """The prepare stage: rows + lint facts + (optionally) the closure.
+    """The prepare stage: rows + lint facts + (optionally) the labels.
 
     Pure function of the task — no warehouse access, no shared state — so
     it parallelizes over threads or processes.  The rows are shaped exactly
-    once and shared by all three consumers (lint, store, closure); the
+    once and shared by all three consumers (lint, store, labels); the
     serial path extracts them from the graph twice and reads them back
-    from SQL a third time for the index build.
+    from SQL a third time for the label build.
     """
     from ..lint.rules_run import RunFacts, lint_run_facts
-    from ..provenance.index import closure_from_rows
     from ..provenance.labels import labels_from_rows
 
     run = task.run
@@ -191,13 +187,6 @@ def prepare_run(task: _PrepareTask) -> PreparedRun:
     facts.attach_spec(run.spec.modules, run.spec.edges())
     prepared.findings = lint_run_facts(facts)
 
-    if task.index and prepared.error is None:
-        prepared.closure = closure_from_rows(
-            task.run_id,
-            prepared.step_rows,
-            prepared.io_rows,
-            prepared.user_inputs,
-        )
     if task.labels and prepared.error is None:
         prepared.labels = labels_from_rows(
             task.run_id,
@@ -319,7 +308,6 @@ def ingest_dataset(
     batch_size: int = DEFAULT_BATCH_SIZE,
     with_standard_views: bool = True,
     strict: bool = False,
-    index: bool = False,
     labels: bool = False,
     pool: str = "thread",
     on_error: str = "abort",
@@ -340,18 +328,12 @@ def ingest_dataset(
         Runs per ``store_many`` transaction (and per strict-gate unit).
     pool:
         ``"thread"`` (default) or ``"process"``.
-    with_standard_views / strict / index:
-        As in :func:`~repro.warehouse.loader.load_dataset`.  When the
-        warehouse was opened with ``auto_index=True``, closures are
-        computed (and stored) exactly as if ``index=True`` — same contract
-        as the serial ``store_run`` path; provlint's ``WH039`` flags
-        ingestion paths that skip this.
-    labels:
-        Also compute the compact reachability labels
+    with_standard_views / strict / labels:
+        As in :func:`~repro.warehouse.loader.load_dataset`.  ``labels``
+        computes the compact reachability labels
         (:func:`~repro.provenance.labels.labels_from_rows`) in the prepare
-        stage and persist them with the batch, so ``strategy="labeled"``
-        queries never pay a first-query build.  Orthogonal to ``index``:
-        either, both, or neither may be materialised at ingestion time.
+        stage and persists them with the batch, so ``strategy="labeled"``
+        queries never pay a first-query build.
     on_error:
         ``"abort"`` (default) keeps the historical semantics: the first
         failing run aborts the load, with the committed-so-far run ids
@@ -394,7 +376,6 @@ def ingest_dataset(
         )
     registry = get_registry()
     linter = Linter()
-    effective_index = index or bool(getattr(warehouse, "auto_index", False))
     plan = faults if faults is not None else getattr(warehouse, "faults", None)
 
     already: frozenset = frozenset()
@@ -445,7 +426,7 @@ def ingest_dataset(
                 continue
             tasks.append(_PrepareTask(
                 run=run, spec_id=record.spec_id, run_id=run_id,
-                index=effective_index, labels=labels,
+                labels=labels,
             ))
             owners.append(record)
 
@@ -553,15 +534,6 @@ def ingest_dataset(
     return records
 
 
-def _closure_task(
-    args: Tuple[str, List[Tuple[str, str]], List[Tuple[str, str, str]], List[str]],
-) -> "LineageClosure":
-    from ..provenance.index import closure_from_rows
-
-    run_id, steps, io_rows, user_inputs = args
-    return closure_from_rows(run_id, steps, io_rows, user_inputs)
-
-
 def _labels_task(
     args: Tuple[str, List[Tuple[str, str]], List[Tuple[str, str, str]], List[str]],
 ) -> "LineageLabels":
@@ -571,55 +543,38 @@ def _labels_task(
     return labels_from_rows(run_id, steps, io_rows, user_inputs)
 
 
-def build_lineage_indexes(
+def build_label_indexes(
     warehouse: ProvenanceWarehouse,
     run_ids: Optional[Sequence[str]] = None,
     *,
     jobs: int = 0,
     rebuild: bool = False,
-    kind: str = "closure",
 ) -> Dict[str, int]:
-    """Materialise the lineage index of many runs, fanning out the builds.
+    """Build the reachability labels of many runs, fanning out the work.
 
-    Both index kinds — the ``"closure"`` (pairwise lineage rows) and the
-    ``"labeled"`` compact reachability labels — are pure functions of a
-    run's rows, so with ``jobs > 0`` the topological passes run
-    concurrently while the parent stores finished structures in run
-    order.  ``jobs=0`` delegates to the serial
-    :meth:`~repro.warehouse.base.ProvenanceWarehouse.build_lineage_index` /
+    Labels are a pure function of a run's rows, so with ``jobs > 0`` the
+    topological passes run concurrently while the parent stores finished
+    labels in run order.  ``jobs=0`` delegates to the serial
     :meth:`~repro.warehouse.base.ProvenanceWarehouse.build_label_index`
-    reference paths.  Returns ``run_id -> stored row count`` for every
-    requested run (already-indexed runs keep their count unless
+    reference path.  Returns ``run_id -> stored label row count`` for
+    every requested run (already-labelled runs keep their count unless
     ``rebuild``).
     """
-    if kind not in ("closure", "labeled"):
-        raise ValueError(
-            "kind must be 'closure' or 'labeled', not %r" % kind
-        )
     registry = get_registry()
     targets = list(run_ids) if run_ids is not None else warehouse.list_runs()
     results: Dict[str, int] = {}
     if jobs <= 0:
         for run_id in targets:
-            if kind == "labeled":
-                results[run_id] = warehouse.build_label_index(
-                    run_id, rebuild=rebuild
-                )
-            else:
-                results[run_id] = warehouse.build_lineage_index(
-                    run_id, rebuild=rebuild
-                )
+            results[run_id] = warehouse.build_label_index(
+                run_id, rebuild=rebuild
+            )
         return results
 
-    row_count = (
-        warehouse.label_row_count if kind == "labeled"
-        else warehouse.lineage_row_count
-    )
     pending: List[str] = []
     rows_args: List[Tuple[str, List[Tuple[str, str]],
                           List[Tuple[str, str, str]], List[str]]] = []
     for run_id in targets:
-        existing = row_count(run_id)
+        existing = warehouse.label_row_count(run_id)
         if existing is not None and not rebuild:
             results[run_id] = existing
             continue
@@ -631,31 +586,21 @@ def build_lineage_indexes(
             sorted(warehouse.user_inputs(run_id)),
         ))
     with ThreadPoolExecutor(max_workers=jobs) as executor:
-        if kind == "labeled":
-            for run_id, labels in zip(
-                pending, executor.map(_labels_task, rows_args)
-            ):
-                with registry.time("labels.build"):
-                    if warehouse.label_row_count(run_id) is not None:
-                        warehouse.drop_label_index(run_id)
-                    warehouse._store_lineage_labels(labels)
-                results[run_id] = labels.num_rows()
-        else:
-            for run_id, closure in zip(
-                pending, executor.map(_closure_task, rows_args)
-            ):
-                with registry.time("index.build"):
-                    if warehouse.lineage_row_count(run_id) is not None:
-                        warehouse.drop_lineage_index(run_id)
-                    warehouse._store_lineage_closure(closure)
-                results[run_id] = closure.num_rows()
+        for run_id, labels in zip(
+            pending, executor.map(_labels_task, rows_args)
+        ):
+            with registry.time("labels.build"):
+                if warehouse.label_row_count(run_id) is not None:
+                    warehouse.drop_label_index(run_id)
+                warehouse._store_lineage_labels(labels)
+            results[run_id] = labels.num_rows()
     return {run_id: results[run_id] for run_id in targets}
 
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "PreparedRun",
-    "build_lineage_indexes",
+    "build_label_indexes",
     "ingest_dataset",
     "prepare_run",
 ]

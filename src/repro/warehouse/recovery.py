@@ -155,9 +155,8 @@ class RecoveryReport:
     The ``stream_*`` lists cover runs that were *open for streaming*
     (:meth:`~repro.warehouse.base.ProvenanceWarehouse.stream_states`)
     when the crash hit: an epoch rolled forward by checksum, an append
-    truncated back to the last committed epoch, or a run whose
-    lineage/label indexes trailed its committed epoch and were dropped
-    for lazy rebuild.
+    truncated back to the last committed epoch, or a run whose label
+    index trailed its committed epoch and was dropped for lazy rebuild.
     """
 
     integrity_ok: bool = True
@@ -217,7 +216,7 @@ class RecoveryReport:
             )
         if self.stream_desynced:
             lines.append(
-                "stream indexes dropped (delta_epoch trailed): %s"
+                "stream labels dropped (delta_epoch trailed): %s"
                 % ", ".join(self.stream_desynced)
             )
         if self.clean:
@@ -237,8 +236,8 @@ def run_checksum(
     SHA-256 over a canonical JSON form with every relation sorted, so the
     same hash comes out of a :class:`~repro.warehouse.pipeline.PreparedRun`
     (rows in shaping order) and out of the stored warehouse rows (rows in
-    backend iteration order).  The lineage closure is deliberately
-    excluded: it is derived data, rebuildable from these rows.
+    backend iteration order).  The reachability labels are deliberately
+    excluded: they are derived data, rebuildable from these rows.
     """
     payload = {
         "spec_id": spec_id,
@@ -298,10 +297,9 @@ def _recover_streams(
       its first journal write; re-journal the committed open state.
 
     After the journal settles, a run whose ``delta_epoch`` trails its
-    committed epoch (crash between epoch commit and index delta — lint
-    rule ``WH047``) has its lineage/label indexes dropped and the
-    watermark advanced: queries rebuild lazily rather than read a stale
-    index.
+    committed epoch (crash between epoch commit and label delta — lint
+    rule ``WH047``) has its label index dropped and the watermark
+    advanced: queries rebuild lazily rather than read stale labels.
     """
     registry = get_registry()
     states = warehouse.stream_states()
@@ -348,8 +346,6 @@ def _recover_streams(
             continue
         state = warehouse.stream_state(run_id)
         if state is not None and state.delta_epoch < state.epoch:
-            if warehouse.has_lineage_index(run_id):
-                warehouse.drop_lineage_index(run_id)
             if warehouse.has_label_index(run_id):
                 warehouse.drop_label_index(run_id)
             warehouse.stream_mark_delta(run_id, state.epoch)

@@ -22,7 +22,10 @@ schema used by both backends of this reproduction:
 
 Deep provenance is the transitive closure of ``io`` — computed by the
 paper with Oracle ``CONNECT BY`` and here with a SQLite ``WITH RECURSIVE``
-CTE (or plain BFS in the in-memory backend).
+CTE (or plain BFS in the in-memory backend).  ``lineage_labels`` and
+``labels_meta`` hold the compact reachability labels of
+:mod:`repro.provenance.labels`, which answer the same closure without
+recursion.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ SQLITE_IO_INDEXES: Tuple[Tuple[str, str], ...] = (
     CREATE INDEX IF NOT EXISTS io_by_step
         ON io (run_id, step_id, direction, data_id)
     """),
+)
+
+#: One-time migrations, executed before :data:`SQLITE_DDL`.  The
+#: materialised pairwise lineage closure (a row table plus a per-run
+#: metadata table) was retired in favour of the reachability labels;
+#: files written before that lose both tables on their first open.  On
+#: any other file the statements are no-ops.
+SQLITE_MIGRATIONS: Tuple[str, ...] = (
+    "DROP TABLE IF EXISTS lineage",
+    "DROP TABLE IF EXISTS lineage_meta",
 )
 
 #: DDL creating all warehouse tables, executed once per SQLite connection.
@@ -150,34 +163,11 @@ SQLITE_DDL: Tuple[str, ...] = (
     CREATE INDEX IF NOT EXISTS annotation_by_key
         ON annotation (run_id, key, value, subject)
     """,
-    # The materialized lineage-closure index (repro.provenance.index): one
-    # row per (data object, ancestor step, that step's input) triple, plus
-    # (data object, 'input', user input) marker rows.  The primary key IS
-    # the covering index — WITHOUT ROWID clusters the rows by it, so a
-    # deep-provenance query is a single range scan.
-    """
-    CREATE TABLE IF NOT EXISTS lineage (
-        run_id  TEXT NOT NULL REFERENCES run_def(run_id),
-        data_id TEXT NOT NULL,
-        step_id TEXT NOT NULL,
-        data_in TEXT NOT NULL,
-        PRIMARY KEY (run_id, data_id, step_id, data_in)
-    ) WITHOUT ROWID
-    """,
-    # One row per indexed run: lets has/status checks avoid counting the
-    # lineage table, and distinguishes "indexed, trivially empty closure"
-    # from "never indexed".
-    """
-    CREATE TABLE IF NOT EXISTS lineage_meta (
-        run_id    TEXT PRIMARY KEY REFERENCES run_def(run_id),
-        row_count INTEGER NOT NULL
-    )
-    """,
     # The compact reachability labels (repro.provenance.labels): one row
     # per step — interval [pre, post] over the spanning forest plus the
     # tree parent and the space-joined non-tree remainder set.  O(V) rows
-    # where the lineage closure is O(V·E); WITHOUT ROWID clusters a run's
-    # labels into one range scan.
+    # per run — the warehouse's one persistent reachability index;
+    # WITHOUT ROWID clusters a run's labels into one range scan.
     """
     CREATE TABLE IF NOT EXISTS lineage_labels (
         run_id      TEXT NOT NULL REFERENCES run_def(run_id),
@@ -230,9 +220,8 @@ SQLITE_DDL: Tuple[str, ...] = (
     # run currently being appended to.  ``epoch`` counts committed
     # appends, ``checksum`` is the cumulative run checksum *as of* that
     # epoch (what a torn append is truncated back to), ``delta_epoch``
-    # is the epoch through which the lineage/label indexes were
-    # incrementally maintained (lint rule WH047 reports it trailing),
-    # and ``opened_at`` feeds the WH046 staleness threshold.  The row is
+    # is the epoch through which the label index was incrementally
+    # maintained (lint rule WH047 reports it trailing), and ``opened_at`` feeds the WH046 staleness threshold.  The row is
     # deleted by finalize_run — its presence *is* the open-run marker.
     """
     CREATE TABLE IF NOT EXISTS _stream_state (
@@ -293,29 +282,6 @@ CROSS JOIN io AS io_in
 CROSS JOIN step
   ON step.run_id = :run_id
  AND step.step_id = io_out.step_id
-"""
-
-#: Indexed deep provenance: the recursive CTE collapsed to one range scan
-#: of the materialized ``lineage`` table (``:input`` is bound to the
-#: reserved ``input`` marker, which no real step id may carry).
-SQLITE_LINEAGE_LOOKUP = """
-SELECT lineage.step_id, step.module, lineage.data_in
-FROM lineage
-JOIN step
-  ON step.run_id = lineage.run_id
- AND step.step_id = lineage.step_id
-WHERE lineage.run_id = :run_id
-  AND lineage.data_id = :data_id
-  AND lineage.step_id != :input
-"""
-
-#: Companion range scan: the lineage user inputs of one data object.
-SQLITE_LINEAGE_LOOKUP_INPUTS = """
-SELECT data_in
-FROM lineage
-WHERE run_id = :run_id
-  AND data_id = :data_id
-  AND step_id = :input
 """
 
 #: Companion query: which objects in the lineage are user inputs.

@@ -10,7 +10,7 @@ files under one directory:
 * **routing** — every run id is owned by exactly one shard, decided by a
   deterministic router (SHA-256 of the run id by default, so the mapping
   survives process restarts and ``PYTHONHASHSEED``); per-run operations
-  (rows, annotations, lineage/label indexes, journal, quarantine,
+  (rows, annotations, label indexes, journal, quarantine,
   delete) go straight to the owning shard.
 * **replication** — specifications and view definitions are tiny and
   referenced by every shard's runs, so they are written to *all* shards;
@@ -85,7 +85,6 @@ from .base import ProvenanceWarehouse, StreamState
 from .sqlite import SqliteWarehouse
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only
-    from ..provenance.index import LineageClosure
     from ..provenance.labels import LineageLabels
     from .pipeline import PreparedRun
     from .recovery import JournalEntry, QuarantineRecord, RecoveryReport
@@ -229,7 +228,7 @@ class ShardedWarehouse(ProvenanceWarehouse):
         manifest's recorded scheme on reopen (``"hash"`` when creating),
         which is what lets the CLI open any federation without knowing
         how it was routed.
-    timing / auto_index / bulk / faults:
+    timing / bulk / faults:
         Passed through to every shard's :class:`SqliteWarehouse`.  A
         fault plan is shared by all shards — sites fire on whichever
         shard reaches them, which is what the chaos suite exploits.
@@ -241,7 +240,6 @@ class ShardedWarehouse(ProvenanceWarehouse):
         shards: Optional[int] = None,
         router: object = None,
         timing: bool = False,
-        auto_index: bool = False,
         bulk: bool = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -300,7 +298,7 @@ class ShardedWarehouse(ProvenanceWarehouse):
         self.faults = faults
         self._writers: List[_ShardWriter] = []
         for i, path in enumerate(self._shard_paths):
-            factory = self._shard_factory(path, timing, auto_index, bulk, faults)
+            factory = self._shard_factory(path, timing, bulk, faults)
             self._writers.append(
                 _ShardWriter("zoom-shard-writer-%d" % i, factory)
             )
@@ -388,14 +386,12 @@ class ShardedWarehouse(ProvenanceWarehouse):
     def _shard_factory(
         path: str,
         timing: bool,
-        auto_index: bool,
         bulk: bool,
         faults: Optional[FaultPlan],
     ) -> Callable[[], SqliteWarehouse]:
         def factory() -> SqliteWarehouse:
             return SqliteWarehouse(
-                path, timing=timing, auto_index=auto_index,
-                bulk=bulk, faults=faults,
+                path, timing=timing, bulk=bulk, faults=faults
             )
         return factory
 
@@ -716,55 +712,13 @@ class ShardedWarehouse(ProvenanceWarehouse):
         return self._owner(run_id).find_annotated(run_id, key, value)
 
     # ------------------------------------------------------------------
-    # Provenance closure and indexes (routed; status scatter-gathered)
+    # Provenance closure and labels (routed; status scatter-gathered)
     # ------------------------------------------------------------------
 
     def admin_deep_provenance(
         self, run_id: str, data_id: str
     ) -> ProvenanceResult:
         return self._owner(run_id).admin_deep_provenance(run_id, data_id)
-
-    def build_lineage_index(self, run_id: str, rebuild: bool = False) -> int:
-        writer = self._owner_writer(run_id)
-        return writer.call(
-            lambda: writer.warehouse.build_lineage_index(
-                run_id, rebuild=rebuild
-            )
-        )
-
-    def _store_lineage_closure(self, closure: "LineageClosure") -> None:
-        writer = self._owner_writer(closure.run_id)
-        writer.call(
-            lambda: writer.warehouse._store_lineage_closure(closure)
-        )
-
-    def has_lineage_index(self, run_id: str) -> bool:
-        return self._owner(run_id).has_lineage_index(run_id)
-
-    def lineage_row_count(self, run_id: str) -> Optional[int]:
-        return self._owner(run_id).lineage_row_count(run_id)
-
-    def drop_lineage_index(self, run_id: Optional[str] = None) -> List[str]:
-        if run_id is not None:
-            writer = self._owner_writer(run_id)
-            return writer.call(
-                lambda: writer.warehouse.drop_lineage_index(run_id)
-            )
-        return self._merge_sorted(
-            self._fan_out_writers(lambda wh: wh.drop_lineage_index())
-        )
-
-    def lineage_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        return self._owner(run_id).lineage_lookup(run_id, data_id)
-
-    def lineage_rows_raw(self, run_id: str) -> Set[Tuple[str, str, str]]:
-        return self._owner(run_id).lineage_rows_raw(run_id)
-
-    def lineage_index_status(self) -> Dict[str, Optional[int]]:
-        merged: Dict[str, Optional[int]] = {}
-        for status in self._scatter(lambda wh: wh.lineage_index_status()):
-            merged.update(status)
-        return dict(sorted(merged.items()))
 
     def build_label_index(self, run_id: str, rebuild: bool = False) -> int:
         writer = self._owner_writer(run_id)
@@ -795,8 +749,8 @@ class ShardedWarehouse(ProvenanceWarehouse):
             self._fan_out_writers(lambda wh: wh.drop_label_index())
         )
 
-    def label_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        return self._owner(run_id).label_lookup(run_id, data_id)
+    def lineage_labels(self, run_id: str) -> "LineageLabels":
+        return self._owner(run_id).lineage_labels(run_id)
 
     def label_rows_raw(
         self, run_id: str
@@ -997,14 +951,6 @@ class ShardedWarehouse(ProvenanceWarehouse):
     def stream_close(self, run_id: str) -> None:
         writer = self._owner_writer(run_id)
         writer.call(lambda: writer.warehouse.stream_close(run_id))
-
-    def extend_lineage_index(
-        self, run_id: str, rows: Sequence[Tuple[str, str, str]]
-    ) -> int:
-        writer = self._owner_writer(run_id)
-        return writer.call(
-            lambda: writer.warehouse.extend_lineage_index(run_id, rows)
-        )
 
     # ------------------------------------------------------------------
     # Health and observability

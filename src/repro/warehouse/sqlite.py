@@ -48,13 +48,11 @@ from .schema import (
     SQLITE_DEEP_PROVENANCE,
     SQLITE_EXPECTED_INDEXES,
     SQLITE_IO_INDEXES,
-    SQLITE_LINEAGE_LOOKUP,
-    SQLITE_LINEAGE_LOOKUP_INPUTS,
     SQLITE_LINEAGE_USER_INPUTS,
+    SQLITE_MIGRATIONS,
 )
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids an import cycle
-    from ..provenance.index import LineageClosure
     from ..provenance.labels import LineageLabels
     from .pipeline import PreparedRun
 
@@ -72,11 +70,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
         counted and timed in the default metrics registry under
         ``warehouse.sql`` (via :meth:`sqlite3.Connection.set_trace_callback`
         for the count and explicit timers on the closure queries).
-    auto_index:
-        When true, :meth:`store_run` materialises the lineage-closure
-        index of every run as it is ingested (see
-        :meth:`~repro.warehouse.base.ProvenanceWarehouse.build_lineage_index`),
-        trading ingestion time for constant-depth deep-provenance queries.
     bulk:
         Open the connection in the **bulk-load pragma profile** for the
         whole session: ``synchronous = OFF`` (the OS, not fsync, decides
@@ -118,7 +111,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
         self,
         path: str = ":memory:",
         timing: bool = False,
-        auto_index: bool = False,
         bulk: bool = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -143,8 +135,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
             [], self._readers_lock, "warehouse._all_readers"
         )  # guarded-by: _readers_lock
         self._write_conn = self._connect()  # thread-owned
-        #: Build the lineage-closure index of every run at ingestion time.
-        self.auto_index = auto_index
         #: Session-wide bulk-load pragma profile (see class docstring).
         self._bulk = bulk
         #: Fault-injection schedule (tests only; ``None`` in production).
@@ -160,7 +150,7 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 lambda _stmt: counter.increment()
             )
         self._startup_integrity()
-        for statement in SQLITE_DDL:
+        for statement in SQLITE_MIGRATIONS + SQLITE_DDL:
             self._write_conn.execute(statement)
         self._write_conn.commit()
 
@@ -632,8 +622,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 "INSERT INTO final_output (run_id, data_id) VALUES (?, ?)",
                 [(identifier, d) for d in sorted(run.final_outputs())],
             )
-        if self.auto_index:
-            self.build_lineage_index(identifier)
         return identifier
 
     @with_retries()
@@ -641,9 +629,8 @@ class SqliteWarehouse(ProvenanceWarehouse):
         """Commit a batch of prepared runs in one transaction.
 
         Five prepared ``executemany`` statements over the pre-shaped row
-        tuples (run_def, step, io, user_input, final_output), then — for
-        prepared runs carrying a closure — the compact lineage expansion
-        of :meth:`_insert_closure_compact`, all inside a single
+        tuples (run_def, step, io, user_input, final_output), then the
+        label rows of prepared runs carrying labels, all inside a single
         transaction under the bulk pragma profile.  Id freshness is
         checked against one precomputed set (batch + stored), so a batch
         is O(batch) instead of O(batch * stored).
@@ -696,91 +683,9 @@ class SqliteWarehouse(ProvenanceWarehouse):
                     [(p.run_id, d) for p in batch for d in p.final_outputs],
                 )
                 for p in batch:
-                    if p.closure is not None:
-                        self._insert_closure_compact(p.closure)
                     if p.labels is not None:
                         self._insert_label_rows(p.labels)
         return [p.run_id for p in batch]
-
-    def _insert_closure_compact(self, closure: "LineageClosure") -> None:
-        """Expand and store a closure SQL-side, from its compact form.
-
-        The expanded ``lineage`` relation repeats each ancestor step's
-        input list once per descendant data object — for deep workflows
-        that is orders of magnitude more rows than the closure's compact
-        dict-of-shared-frozensets form holds.  Rather than expanding in
-        Python and pushing ~N*M tuples through ``executemany``
-        (:meth:`_store_lineage_closure`, the reference), this inserts only
-        the *distinct* ancestor sets into temp tables and lets one
-        ``INSERT ... SELECT`` join against ``io`` do the expansion in C.
-        The ``ORDER BY`` matters: the WITHOUT ROWID b-tree is filled in
-        key order instead of randomly.  Must run inside the caller's
-        transaction, after the run's ``io`` rows are inserted.
-        """
-        self._conn.execute(
-            "CREATE TEMP TABLE IF NOT EXISTS bulk_anc_set"
-            " (set_id INTEGER, step_id TEXT)"
-        )
-        self._conn.execute(
-            "CREATE TEMP TABLE IF NOT EXISTS bulk_data_set"
-            " (data_id TEXT, set_id INTEGER)"
-        )
-        self._conn.execute("DELETE FROM bulk_anc_set")
-        self._conn.execute("DELETE FROM bulk_data_set")
-        set_ids: Dict[FrozenSet[str], int] = {}
-        anc_rows: List[Tuple[int, str]] = []
-        data_rows: List[Tuple[str, int]] = []
-        for data_id, steps in closure.lineage_steps.items():
-            set_id = set_ids.get(steps)
-            if set_id is None:
-                set_id = set_ids[steps] = len(set_ids)
-                anc_rows.extend((set_id, step_id) for step_id in steps)
-            data_rows.append((data_id, set_id))
-        self._conn.executemany(
-            "INSERT INTO bulk_anc_set (set_id, step_id) VALUES (?, ?)",
-            anc_rows,
-        )
-        self._conn.executemany(
-            "INSERT INTO bulk_data_set (data_id, set_id) VALUES (?, ?)",
-            data_rows,
-        )
-        params = {"run_id": closure.run_id, "marker": INPUT, "dir_in": DIR_IN}
-        # (data, ancestor step, that step's input) expansion rows.
-        self._conn.execute(
-            "INSERT INTO lineage (run_id, data_id, step_id, data_in)"
-            " SELECT :run_id, d.data_id, a.step_id, io.data_id"
-            " FROM bulk_data_set AS d"
-            " JOIN bulk_anc_set AS a ON a.set_id = d.set_id"
-            " JOIN io ON io.run_id = :run_id AND io.step_id = a.step_id"
-            "  AND io.direction = :dir_in"
-            " ORDER BY d.data_id, a.step_id, io.data_id",
-            params,
-        )
-        # (data, 'input', user input) markers: a user input is in a data
-        # object's lineage exactly when some ancestor step reads it.
-        self._conn.execute(
-            "INSERT OR IGNORE INTO lineage (run_id, data_id, step_id, data_in)"
-            " SELECT DISTINCT :run_id, d.data_id, :marker, io.data_id"
-            " FROM bulk_data_set AS d"
-            " JOIN bulk_anc_set AS a ON a.set_id = d.set_id"
-            " JOIN io ON io.run_id = :run_id AND io.step_id = a.step_id"
-            "  AND io.direction = :dir_in"
-            " JOIN user_input AS u ON u.run_id = :run_id"
-            "  AND u.data_id = io.data_id",
-            params,
-        )
-        # A user input's own lineage is itself.
-        self._conn.execute(
-            "INSERT OR IGNORE INTO lineage (run_id, data_id, step_id, data_in)"
-            " SELECT :run_id, data_id, :marker, data_id"
-            " FROM user_input WHERE run_id = :run_id",
-            params,
-        )
-        self._conn.execute(
-            "INSERT INTO lineage_meta (run_id, row_count)"
-            " SELECT :run_id, COUNT(*) FROM lineage WHERE run_id = :run_id",
-            params,
-        )
 
     # ------------------------------------------------------------------
     # Ingest journal and quarantine (crash-safe ingestion)
@@ -1186,114 +1091,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
         return [subject for (subject,) in cursor]
 
     # ------------------------------------------------------------------
-    # Materialized lineage-closure index
-    # ------------------------------------------------------------------
-
-    def _store_lineage_closure(self, closure: "LineageClosure") -> None:
-        rows = [
-            (closure.run_id, data_id, step_id, data_in)
-            for data_id, step_id, data_in in closure.iter_table_rows()
-        ]
-        with self._conn:
-            self._conn.executemany(
-                "INSERT INTO lineage (run_id, data_id, step_id, data_in)"
-                " VALUES (?, ?, ?, ?)",
-                rows,
-            )
-            self._conn.execute(
-                "INSERT INTO lineage_meta (run_id, row_count) VALUES (?, ?)",
-                (closure.run_id, len(rows)),
-            )
-
-    def has_lineage_index(self, run_id: str) -> bool:
-        self._require("run_def", "run_id", run_id, "run")
-        return self._exists("lineage_meta", "run_id", run_id)
-
-    def lineage_row_count(self, run_id: str) -> Optional[int]:
-        self._require("run_def", "run_id", run_id, "run")
-        row = self._conn.execute(
-            "SELECT row_count FROM lineage_meta WHERE run_id = ?", (run_id,)
-        ).fetchone()
-        return None if row is None else row[0]
-
-    def drop_lineage_index(self, run_id: Optional[str] = None) -> List[str]:
-        if run_id is None:
-            targets = [
-                rid
-                for (rid,) in self._conn.execute(
-                    "SELECT run_id FROM lineage_meta ORDER BY run_id"
-                )
-            ]
-        else:
-            self._require("run_def", "run_id", run_id, "run")
-            targets = [run_id] if self._exists("lineage_meta", "run_id", run_id) else []
-        with self._conn:
-            for target in targets:
-                self._conn.execute(
-                    "DELETE FROM lineage WHERE run_id = ?", (target,)
-                )
-                self._conn.execute(
-                    "DELETE FROM lineage_meta WHERE run_id = ?", (target,)
-                )
-        return targets
-
-    def lineage_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        with self._snapshot():
-            if not self.has_lineage_index(run_id):
-                raise WarehouseError("run %r has no lineage index" % run_id)
-            # Validate the data id first; a range scan over an unknown
-            # object would silently return an empty lineage.
-            self.producer_of(run_id, data_id)
-            params = {"run_id": run_id, "data_id": data_id, "input": INPUT}
-            result = ProvenanceResult(target=data_id, view_name="UAdmin")
-            for step_id, module, data_in in self._conn.execute(
-                SQLITE_LINEAGE_LOOKUP, params
-            ):
-                result.rows.append(
-                    ProvenanceRow(
-                        step_id=step_id, module=module, data_in=data_in
-                    )
-                )
-            for (user_input,) in self._conn.execute(
-                SQLITE_LINEAGE_LOOKUP_INPUTS, params
-            ):
-                result.user_inputs.add(user_input)
-            return result
-
-    def lineage_rows_raw(self, run_id: str) -> Set[Tuple[str, str, str]]:
-        self._require("run_def", "run_id", run_id, "run")
-        return {
-            tuple(row)
-            for row in self._conn.execute(
-                "SELECT data_id, step_id, data_in FROM lineage"
-                " WHERE run_id = ?",
-                (run_id,),
-            )
-        }
-
-    @with_retries()
-    def extend_lineage_index(
-        self, run_id: str, rows: Sequence[Tuple[str, str, str]]
-    ) -> int:
-        if not self.has_lineage_index(run_id):
-            raise WarehouseError("run %r has no lineage index" % run_id)
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO lineage"
-                " (run_id, data_id, step_id, data_in) VALUES (?, ?, ?, ?)",
-                [(run_id, data_id, step_id, data_in)
-                 for data_id, step_id, data_in in rows],
-            )
-            self._conn.execute(
-                "UPDATE lineage_meta SET row_count ="
-                " (SELECT COUNT(*) FROM lineage WHERE run_id = ?)"
-                " WHERE run_id = ?",
-                (run_id, run_id),
-            )
-        count = self.lineage_row_count(run_id)
-        return 0 if count is None else count
-
-    # ------------------------------------------------------------------
     # Compact reachability labels
     # ------------------------------------------------------------------
 
@@ -1359,27 +1156,19 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 )
         return targets
 
-    def label_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
+    def lineage_labels(self, run_id: str) -> "LineageLabels":
         from ..provenance.labels import labels_from_stored
 
         with self._snapshot():
             version = self.label_index_version(run_id)
             if version is None:
                 raise WarehouseError("run %r has no label index" % run_id)
-            # Validate the data id first; rehydration would otherwise
-            # report an unknown object as "not covered" instead of
-            # unknown.
-            self.producer_of(run_id, data_id)
-            label_rows = [
-                (step_id, pre, post, parent, remainder)
-                for step_id, pre, post, parent, remainder
-                in self._conn.execute(
-                    "SELECT step_id, pre, post, tree_parent, remainder"
-                    " FROM lineage_labels WHERE run_id = ?",
-                    (run_id,),
-                )
-            ]
-            labels = labels_from_stored(
+            label_rows = self._conn.execute(
+                "SELECT step_id, pre, post, tree_parent, remainder"
+                " FROM lineage_labels WHERE run_id = ?",
+                (run_id,),
+            ).fetchall()
+            return labels_from_stored(
                 run_id,
                 label_rows,
                 self.steps_of_run(run_id),
@@ -1387,7 +1176,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 sorted(self.user_inputs(run_id)),
                 version=version,
             )
-        return labels.result_for(data_id)
 
     def label_rows_raw(self, run_id: str) -> Set[Tuple[str, int, int, str, str]]:
         self._require("run_def", "run_id", run_id, "run")
@@ -1407,8 +1195,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
             # The journal and quarantine rows go too — deleting a run is
             # a statement that the warehouse no longer tracks it at all.
             for table in (
-                "lineage",
-                "lineage_meta",
                 "lineage_labels",
                 "labels_meta",
                 "annotation",
@@ -1426,15 +1212,11 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 )
 
     # ------------------------------------------------------------------
-    # Recursive closure (WITH RECURSIVE; served from the index when built)
+    # Recursive closure (WITH RECURSIVE)
     # ------------------------------------------------------------------
 
     def admin_deep_provenance(self, run_id: str, data_id: str) -> ProvenanceResult:
         with self._snapshot():
-            if self._exists("lineage_meta", "run_id", run_id):
-                get_registry().counter("index.hit").increment()
-                return self.lineage_lookup(run_id, data_id)
-            get_registry().counter("index.miss").increment()
             # Validate the data id first; the recursive query would
             # silently return an empty lineage for an unknown object.
             self.producer_of(run_id, data_id)

@@ -12,7 +12,7 @@ Subcommands::
     zoom plan ...                     re-execution plan after an input change
     zoom diff ...                     compare two runs through a view
     zoom stats ...                    aggregate warehouse statistics
-    zoom index ...                    manage the lineage-closure index
+    zoom index ...                    manage the reachability-label index
     zoom ingest ...                   load a foreign JSON Lines trace
     zoom lint ...                     statically analyse specs/warehouses
     zoom serve ...                    answer a concurrent query load
@@ -153,7 +153,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             record = ingest_dataset(
                 warehouse, [(spec, simulations)],
                 jobs=args.jobs, batch_size=args.batch or DEFAULT_BATCH_SIZE,
-                with_standard_views=False, index=args.index,
+                with_standard_views=False, labels=args.index,
                 resume=args.resume, on_error=args.on_error,
             )[0]
             spec_id = record.spec_id
@@ -170,8 +170,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 else:
                     print("stored %s" % run_id)
                 if args.index:
-                    print("  lineage index built: %d rows"
-                          % warehouse.lineage_row_count(run_id))
+                    print("  label index built: %d rows"
+                          % warehouse.label_row_count(run_id))
             quarantined = warehouse.quarantine_list()
             if quarantined:
                 print("%d run(s) quarantined (inspect with"
@@ -190,8 +190,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
                       % (run_id, result.run.num_steps(),
                          len(result.run.data_ids())))
                 if args.index:
-                    rows = warehouse.build_lineage_index(run_id)
-                    print("  lineage index built: %d rows" % rows)
+                    rows = warehouse.build_label_index(run_id)
+                    print("  label index built: %d rows" % rows)
     print("spec %r and %d run(s) loaded into %s" % (spec_id, args.runs, args.db))
     return 0
 
@@ -410,47 +410,32 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    """Manage the materialised lineage indexes of a warehouse.
-
-    ``--kind closure`` (default) targets the pairwise lineage-closure
-    index; ``--kind labeled`` the compact reachability-label index.
-    """
-    labeled = args.kind == "labeled"
+    """Manage the reachability-label index of a warehouse."""
     with _open_warehouse(args.db) as warehouse:
         run_ids = (
             warehouse.list_runs() if args.all
             else args.run_id or warehouse.list_runs()
         )
         if args.action == "build":
-            from ..warehouse.pipeline import build_lineage_indexes
+            from ..warehouse.pipeline import build_label_indexes
 
-            results = build_lineage_indexes(
+            results = build_label_indexes(
                 warehouse, run_ids, jobs=args.jobs, rebuild=args.rebuild,
-                kind=args.kind,
             )
             for run_id, rows in results.items():
-                if labeled:
-                    print("labeled %s: %d label rows" % (run_id, rows))
-                else:
-                    print("indexed %s: %d lineage rows" % (run_id, rows))
+                print("labeled %s: %d label rows" % (run_id, rows))
         elif args.action == "drop":
             dropped = []
             for run_id in run_ids:
-                if labeled:
-                    dropped.extend(warehouse.drop_label_index(run_id))
-                else:
-                    dropped.extend(warehouse.drop_lineage_index(run_id))
-            print("dropped %s index of %d run(s)%s"
-                  % ("label" if labeled else "lineage", len(dropped),
+                dropped.extend(warehouse.drop_label_index(run_id))
+            print("dropped label index of %d run(s)%s"
+                  % (len(dropped),
                      ": %s" % ", ".join(dropped) if dropped else ""))
         else:  # status
-            status = (
-                warehouse.label_index_status() if labeled
-                else warehouse.lineage_index_status()
-            )
+            status = warehouse.label_index_status()
             indexed = sum(1 for rows in status.values() if rows is not None)
-            print("%s index: %d of %d run(s) indexed"
-                  % ("label" if labeled else "lineage", indexed, len(status)))
+            print("label index: %d of %d run(s) indexed"
+                  % (indexed, len(status)))
             for run_id in run_ids:
                 rows = status.get(run_id)
                 print("  %-24s %s"
@@ -490,8 +475,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("zoom lint: %s" % exc.args[0], file=sys.stderr)
         return 2
     linter = Linter(config=config, check_minimality=args.minimality)
-    if args.closure_threshold is not None:
-        linter.closure_row_threshold = args.closure_threshold
     if args.shard_skew is not None:
         linter.shard_skew_factor = args.shard_skew
     if args.open_run_age is not None:
@@ -541,7 +524,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             age = ("?" if state.opened_at is None
                    else "%.0f" % max(now - state.opened_at, 0.0))
             trailing = ("" if state.delta_epoch >= state.epoch
-                        else " (indexes trail at epoch %d)"
+                        else " (labels trail at epoch %d)"
                         % state.delta_epoch)
             print("%s: spec %s, epoch %d, open %s s%s"
                   % (run_id, state.spec_id, state.epoch, age, trailing))
@@ -784,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--runs", type=int, default=1)
     load.add_argument("--seed", type=int, default=0)
     load.add_argument("--index", action="store_true",
-                      help="materialise each run's lineage-closure index"
-                           " at ingestion time")
+                      help="build each run's reachability labels at"
+                           " ingestion time")
     load.add_argument("--jobs", type=int, default=0,
                       help="prepare-stage workers for batched ingestion"
                            " (0: serial reference path)")
@@ -831,13 +814,10 @@ def build_parser() -> argparse.ArgumentParser:
     prov.add_argument("--user", default="user")
     prov.add_argument("--format", choices=["rows", "report"], default="rows")
     prov.add_argument("--strategy", default="cached",
-                      choices=["cached", "uncached", "indexed", "labeled",
-                               "auto"],
-                      help="reasoner strategy; 'indexed' serves from (and"
-                           " lazily builds) the lineage-closure index,"
-                           " 'labeled' from the compact reachability"
-                           " labels, 'auto' picks per run by predicted"
-                           " closure size")
+                      choices=["cached", "uncached", "labeled"],
+                      help="reasoner strategy; 'labeled' serves from (and"
+                           " lazily builds) the compact reachability"
+                           " labels")
 
     dot = sub.add_parser("dot", help="render a stored spec or run as DOT")
     dot.add_argument("--db", required=True)
@@ -877,21 +857,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = sub.add_parser(
         "index",
-        help="build, inspect or drop the materialised lineage indexes",
+        help="build, inspect or drop the reachability-label index",
     )
     index.add_argument("action", choices=["build", "status", "drop"])
     index.add_argument("--db", required=True)
-    index.add_argument("--kind", choices=["closure", "labeled"],
-                       default="closure",
-                       help="which index: the pairwise lineage closure"
-                            " (default) or the compact reachability labels")
     index.add_argument("--run-id", nargs="*", default=None,
                        help="restrict to these runs (default: every run)")
     index.add_argument("--all", action="store_true",
                        help="explicitly target every stored run (overrides"
                             " --run-id)")
     index.add_argument("--jobs", type=int, default=0,
-                       help="closure workers for 'build' (0: serial)")
+                       help="label workers for 'build' (0: serial)")
     index.add_argument("--rebuild", action="store_true",
                        help="recompute even when an index already exists")
 
@@ -917,10 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--source", nargs="*", default=None, metavar="PATH",
                       help="Python files/directories to check with the"
                            " SRC0xx concurrency rules (e.g. src/repro)")
-    lint.add_argument("--closure-threshold", type=int, default=None,
-                      metavar="ROWS",
-                      help="WH042 budget: warn when a run's predicted"
-                           " lineage-closure row count exceeds this")
     lint.add_argument("--shard-skew", type=float, default=None,
                       metavar="FACTOR",
                       help="WH045 threshold: warn when the busiest shard"
@@ -983,8 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build a user view from these modules and mix"
                             " view queries into the load")
     serve.add_argument("--strategy", default="cached",
-                       choices=["cached", "uncached", "indexed", "labeled",
-                                "auto"])
+                       choices=["cached", "uncached", "labeled"])
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument("--clients", type=int, default=8)
     serve.add_argument("--queue-size", type=int, default=64)
@@ -997,8 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--backend", default="sqlite",
                              choices=["sqlite", "memory"])
     bench_serve.add_argument("--strategy", default="cached",
-                             choices=["cached", "uncached", "indexed",
-                                      "labeled", "auto"])
+                             choices=["cached", "uncached", "labeled"])
     bench_serve.add_argument("--workers", type=int, default=4)
     bench_serve.add_argument("--clients", type=int, default=8)
     bench_serve.add_argument("--requests", type=int, default=200)

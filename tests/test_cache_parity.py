@@ -1,9 +1,9 @@
 """Strategy parity and bounded-cache behaviour of the reasoner.
 
-The caches, the lineage-closure index and the compact reachability
-labels are optimisations, never semantics: for any generated workload,
-the ``cached``, ``uncached``, ``indexed``, ``labeled`` and ``auto``
-strategies must return identical deep, immediate and reverse answers —
+The caches and the compact reachability labels are optimisations, never
+semantics: for any generated workload, the ``cached``, ``uncached`` and
+``labeled`` strategies must return identical deep, immediate and reverse
+answers —
 warm or cold, under eviction pressure from a deliberately tiny capacity,
 and all of them must equal the reference semantics of
 :mod:`repro.provenance.queries` computed over the raw composite run.
@@ -61,15 +61,7 @@ def test_strategies_agree_on_all_query_kinds(case, seed):
     view = build_user_view(spec, relevant)
     cached = ProvenanceReasoner(warehouse, strategy="cached")
     uncached = ProvenanceReasoner(warehouse, strategy="uncached")
-    indexed = ProvenanceReasoner(warehouse, strategy="indexed")
     labeled = ProvenanceReasoner(warehouse, strategy="labeled")
-    # closure_row_threshold=0 forces every auto decision to "labeled",
-    # so the auto path is exercised end to end rather than collapsing
-    # into the already-covered indexed one.
-    auto = ProvenanceReasoner(
-        warehouse, strategy="auto", closure_row_threshold=0
-    )
-    materialised = (indexed, labeled, auto)
     # The reference semantics, straight from queries.py over the raw run.
     reference = CompositeRun(run, view)
     targets = sorted(run.final_outputs())
@@ -80,25 +72,19 @@ def test_strategies_agree_on_all_query_kinds(case, seed):
         cold = cached.deep(run_id, target, view=view)
         warm = cached.deep(run_id, target, view=view)
         assert cold == warm == uncached.deep(run_id, target, view=view)
-        for reasoner in materialised:
-            assert cold == reasoner.deep(run_id, target, view=view)
+        assert cold == labeled.deep(run_id, target, view=view)
         assert cold == deep_provenance(reference, target)
         admin = cached.deep(run_id, target)
         assert admin == uncached.deep(run_id, target)
-        for reasoner in materialised:
-            assert admin == reasoner.deep(run_id, target)
+        assert admin == labeled.deep(run_id, target)
         immediate = cached.immediate(run_id, target, view=view)
         assert immediate == uncached.immediate(run_id, target, view=view)
-        for reasoner in materialised:
-            assert immediate == reasoner.immediate(run_id, target, view=view)
+        assert immediate == labeled.immediate(run_id, target, view=view)
     for source in sources:
         reverse = cached.reverse(run_id, source, view=view)
         assert reverse == uncached.reverse(run_id, source, view=view)
-        for reasoner in materialised:
-            assert reverse == reasoner.reverse(run_id, source, view=view)
-    # The indexed/labeled reasoners built their persistent structures as
-    # a side effect (auto, forced labeled, shares the label index).
-    assert warehouse.has_lineage_index(run_id)
+        assert reverse == labeled.reverse(run_id, source, view=view)
+    # The labeled reasoner built the persistent labels as a side effect.
     assert warehouse.has_label_index(run_id)
 
 
@@ -111,11 +97,8 @@ def test_deep_many_matches_per_query_answers(case, seed):
     view = build_user_view(spec, relevant)
     data_ids = sorted(run.final_outputs() | run.user_inputs())
     reference = ProvenanceReasoner(warehouse, strategy="uncached")
-    for strategy in ("cached", "uncached", "indexed", "labeled", "auto"):
-        reasoner = ProvenanceReasoner(
-            warehouse, strategy=strategy,
-            closure_row_threshold=0 if strategy == "auto" else None,
-        )
+    for strategy in ("cached", "uncached", "labeled"):
+        reasoner = ProvenanceReasoner(warehouse, strategy=strategy)
         for batch_view in (None, view):
             batch = reasoner.deep_many(run_id, data_ids, view=batch_view)
             assert sorted(batch) == data_ids
@@ -162,10 +145,6 @@ def test_parity_survives_eviction_pressure(case, seed):
         warehouse, run_cache_size=1, composite_cache_size=1,
         closure_cache_size=1,
     )
-    tiny_indexed = ProvenanceReasoner(
-        warehouse, strategy="indexed", run_cache_size=1,
-        composite_cache_size=1, closure_cache_size=1,
-    )
     tiny_labeled = ProvenanceReasoner(
         warehouse, strategy="labeled", run_cache_size=1,
         composite_cache_size=1, closure_cache_size=1,
@@ -176,7 +155,6 @@ def test_parity_survives_eviction_pressure(case, seed):
         for view in views:
             expected = reference.deep(run_id, target, view=view)
             assert tiny.deep(run_id, target, view=view) == expected
-            assert tiny_indexed.deep(run_id, target, view=view) == expected
             assert tiny_labeled.deep(run_id, target, view=view) == expected
 
 
@@ -241,7 +219,7 @@ class TestBoundedReasonerCaches:
         stats = reasoner.stats()
         assert stats["composites"]["hits"] > 0 or stats["composites"]["misses"] > 0
         reasoner.clear_cache()
-        for name in ("runs", "composites", "closures"):
+        for name in ("runs", "composites", "closures", "labels"):
             row = reasoner.stats()[name]
             assert (row["hits"], row["misses"], row["evictions"]) == (0, 0, 0)
             assert row["size"] == 0
@@ -274,7 +252,7 @@ class TestBoundedReasonerCaches:
         reasoner.deep(run_ids[0], "d447", view=view)   # all misses
         reasoner.deep(run_ids[0], "d447", view=view)   # composite hit
         stats = reasoner.stats()
-        assert set(stats) == {"runs", "composites", "closures"}
+        assert set(stats) == {"runs", "composites", "closures", "labels"}
         assert stats["composites"] == {
             "capacity": 1024, "size": 1, "hits": 1, "misses": 1,
             "evictions": 0, "stale_drops": 0, "hit_rate": 0.5,

@@ -1,15 +1,13 @@
 """The compact reachability-label index: build, serve, maintain, observe.
 
-The label index is the storage-compact twin of the lineage closure
-(O(V) rows instead of O(reachable pairs)), so this suite mirrors
-``tests/test_lineage_index.py`` clause for clause: the build/status/drop
-lifecycle on both backends, lookup parity against the recursive reference
-for every data object, the labeled and auto reasoner strategies,
-incremental maintenance (drop, delete, invalidation), ingestion-time
-labelling, the WH042/WH043 lint rules, and the ``zoom index --kind
-labeled`` command-line surface.  It also unit-tests the encoding itself:
-interval containment, remainder traversal, determinism, and cycle
-rejection.
+The labels are the warehouse's one persistent reachability index (O(V)
+rows per run).  This suite covers the build/status/drop lifecycle on
+both backends, lookup parity against the recursive reference for every
+data object, the labeled reasoner strategy, incremental maintenance
+(drop, delete, invalidation), ingestion-time labelling, the WH043 lint
+rule, and the ``zoom index`` command-line surface.  It also unit-tests
+the encoding itself: interval containment, remainder traversal,
+determinism, and cycle rejection.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.provenance.labels import (
     compute_lineage_labels,
     label_table_rows,
     labels_from_rows,
-    predict_closure_rows,
 )
 from repro.provenance.queries import deep_provenance
 from repro.provenance.reasoner import ProvenanceReasoner
@@ -151,15 +148,6 @@ class TestEncoding:
         with pytest.raises(WarehouseError, match="not covered"):
             labels.lineage_steps_of("no-such-data")
 
-    def test_predict_closure_rows_handles_cycles_and_empty_runs(self):
-        assert predict_closure_rows([], [], []) == 0
-        steps = [("s1", "A"), ("s2", "A")]
-        io_rows = [
-            ("s1", "d2", "in"), ("s1", "d1", "out"),
-            ("s2", "d1", "in"), ("s2", "d2", "out"),
-        ]
-        assert predict_closure_rows(steps, io_rows, []) is None
-
 
 # ----------------------------------------------------------------------
 # Warehouse lifecycle
@@ -187,12 +175,15 @@ class TestBuildAndStatus:
         assert warehouse.label_index_status() == {run_id: rows}
 
     def test_labels_are_independent_of_the_closure_index(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
+        """No closure index exists to depend on: the stub stays false and
+        labelled answers match the recursive closure."""
+        warehouse, _spec, run, _spec_id, run_id = loaded
         warehouse.build_label_index(run_id)
         assert not warehouse.has_lineage_index(run_id)
-        warehouse.build_lineage_index(run_id)
-        warehouse.drop_lineage_index(run_id)
         assert warehouse.has_label_index(run_id)
+        target = min(run.final_outputs())
+        assert warehouse.label_lookup(run_id, target) == \
+            warehouse.admin_deep_provenance(run_id, target)
 
     def test_drop_reports_what_it_dropped(self, loaded):
         warehouse, _spec, _run, _spec_id, run_id = loaded
@@ -250,12 +241,12 @@ class TestLookupParity:
                 deep_provenance(reference, data_id)
 
     def test_lookup_equals_the_closure_lookup(self, loaded):
+        """Row-identical to the warehouse's recursive closure."""
         warehouse, _spec, run, _spec_id, run_id = loaded
         warehouse.build_label_index(run_id)
-        warehouse.build_lineage_index(run_id)
         for data_id in sorted(run.data_ids() | run.user_inputs()):
             assert warehouse.label_lookup(run_id, data_id) == \
-                warehouse.lineage_lookup(run_id, data_id)
+                warehouse.admin_deep_provenance(run_id, data_id)
 
     def test_user_input_lineage_is_just_the_input(self, loaded):
         warehouse, _spec, run, _spec_id, run_id = loaded
@@ -342,58 +333,6 @@ class TestLabeledStrategy:
         assert not warehouse.has_label_index(run_id)
 
 
-class TestAutoStrategy:
-    def test_auto_picks_labeled_over_the_threshold(self, loaded):
-        warehouse, _spec, run, _spec_id, run_id = loaded
-        reasoner = ProvenanceReasoner(
-            warehouse, strategy="auto", closure_row_threshold=0
-        )
-        answer = reasoner.deep(run_id, min(run.final_outputs()))
-        assert warehouse.has_label_index(run_id)
-        assert not warehouse.has_lineage_index(run_id)
-        assert answer == warehouse.label_lookup(
-            run_id, min(run.final_outputs())
-        )
-
-    def test_auto_picks_indexed_under_the_threshold(self, loaded):
-        warehouse, _spec, run, _spec_id, run_id = loaded
-        reasoner = ProvenanceReasoner(
-            warehouse, strategy="auto", closure_row_threshold=10**9
-        )
-        reasoner.deep(run_id, min(run.final_outputs()))
-        assert warehouse.has_lineage_index(run_id)
-        assert not warehouse.has_label_index(run_id)
-
-    def test_auto_decision_is_per_run_and_memoised(self, loaded):
-        warehouse, _spec, run, spec_id, run_id = loaded
-        other = warehouse.store_run(run, spec_id, run_id="second")
-        predicted = predict_closure_rows(
-            warehouse.steps_of_run(run_id),
-            warehouse.io_rows(run_id),
-            sorted(warehouse.user_inputs(run_id)),
-        )
-        # A threshold between the two runs' identical predictions cannot
-        # split them, so thread it just below: both go labeled, and the
-        # memo records one decision per run.
-        reasoner = ProvenanceReasoner(
-            warehouse, strategy="auto", closure_row_threshold=predicted - 1
-        )
-        reasoner.deep(run_id, min(run.final_outputs()))
-        reasoner.deep(other, min(run.final_outputs()))
-        assert reasoner._auto_choice == {run_id: "labeled", other: "labeled"}
-
-    def test_invalidation_forgets_the_auto_choice(self, loaded):
-        warehouse, _spec, run, _spec_id, run_id = loaded
-        reasoner = ProvenanceReasoner(
-            warehouse, strategy="auto", closure_row_threshold=0
-        )
-        reasoner.deep(run_id, min(run.final_outputs()))
-        assert run_id in reasoner._auto_choice
-        reasoner.invalidate_run(run_id)
-        assert run_id not in reasoner._auto_choice
-        assert not warehouse.has_label_index(run_id)
-
-
 # ----------------------------------------------------------------------
 # Ingestion-time labelling
 # ----------------------------------------------------------------------
@@ -418,31 +357,22 @@ class TestIngestionTimeLabels:
         assert warehouse.label_rows_raw(run_id) == stored
 
     def test_build_lineage_indexes_kind_labeled(self, loaded):
-        from repro.warehouse.pipeline import build_lineage_indexes
+        from repro.warehouse.pipeline import build_label_indexes
 
         warehouse, _spec, run, spec_id, run_id = loaded
         other = warehouse.store_run(run, spec_id, run_id="second")
         for jobs in (0, 2):
             warehouse.drop_label_index()
-            results = build_lineage_indexes(
-                warehouse, jobs=jobs, kind="labeled"
-            )
+            results = build_label_indexes(warehouse, jobs=jobs)
             assert results == {
                 run_id: run.num_steps(), other: run.num_steps()
             }
             assert warehouse.has_label_index(run_id)
             assert warehouse.has_label_index(other)
 
-    def test_build_lineage_indexes_rejects_unknown_kind(self, loaded):
-        from repro.warehouse.pipeline import build_lineage_indexes
-
-        warehouse = loaded[0]
-        with pytest.raises(ValueError, match="kind"):
-            build_lineage_indexes(warehouse, kind="nope")
-
 
 # ----------------------------------------------------------------------
-# Lint: actionable WH042 and the WH043 staleness mirror
+# Lint: the WH043 staleness rule
 # ----------------------------------------------------------------------
 
 
@@ -513,23 +443,6 @@ class TestLabelLint:
         report = Linter(emit_metrics=False).lint_warehouse(warehouse)
         assert "WH043" in {f.rule_id for f in report.findings}
 
-    def test_wh042_points_at_the_label_index(self, loaded):
-        from repro.lint.rules_warehouse import lint_closure_budget
-
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        args = (
-            run_id,
-            warehouse.steps_of_run(run_id),
-            warehouse.io_rows(run_id),
-            sorted(warehouse.user_inputs(run_id)),
-        )
-        without = lint_closure_budget(*args, threshold=1)
-        assert [f.rule_id for f in without] == ["WH042"]
-        assert "zoom index build --kind labeled" in without[0].hint
-        with_labels = lint_closure_budget(*args, threshold=1, has_labels=True)
-        assert "label index exists" in with_labels[0].message
-        assert "'labeled'" in with_labels[0].hint
-
 
 # ----------------------------------------------------------------------
 # CLI surface
@@ -550,38 +463,25 @@ class TestCli:
         from repro.zoom.cli import main
 
         path, run_id = db
-        assert main(["index", "status", "--db", path,
-                     "--kind", "labeled"]) == 0
+        assert main(["index", "status", "--db", path]) == 0
         assert "label index: 0 of 1 run(s) indexed" in capsys.readouterr().out
-        assert main(["index", "build", "--db", path,
-                     "--kind", "labeled"]) == 0
+        assert main(["index", "build", "--db", path]) == 0
         out = capsys.readouterr().out
         assert ("labeled %s:" % run_id) in out and "label rows" in out
-        assert main(["index", "status", "--db", path,
-                     "--kind", "labeled"]) == 0
+        assert main(["index", "status", "--db", path]) == 0
         assert "label index: 1 of 1 run(s) indexed" in capsys.readouterr().out
         with SqliteWarehouse(path) as warehouse:
             assert warehouse.has_label_index(run_id)
             assert not warehouse.has_lineage_index(run_id)
-        assert main(["index", "drop", "--db", path, "--kind", "labeled",
-                     "--run-id", run_id]) == 0
+        assert main(["index", "drop", "--db", path, "--run-id", run_id]) == 0
         assert "dropped label index of 1 run(s)" in capsys.readouterr().out
-        assert main(["index", "status", "--db", path,
-                     "--kind", "labeled"]) == 0
+        assert main(["index", "status", "--db", path]) == 0
         assert "not indexed" in capsys.readouterr().out
+        # Labels are the only index: there is no kind to select.
+        with pytest.raises(SystemExit):
+            main(["index", "build", "--db", path, "--kind", "labeled"])
 
-    def test_default_kind_is_still_the_closure(self, db, capsys):
-        from repro.zoom.cli import main
-
-        path, run_id = db
-        assert main(["index", "build", "--db", path]) == 0
-        out = capsys.readouterr().out
-        assert ("indexed %s:" % run_id) in out and "lineage rows" in out
-        with SqliteWarehouse(path) as warehouse:
-            assert warehouse.has_lineage_index(run_id)
-            assert not warehouse.has_label_index(run_id)
-
-    @pytest.mark.parametrize("strategy", ["labeled", "auto"])
+    @pytest.mark.parametrize("strategy", ["labeled"])
     def test_prov_with_labeled_strategies(self, db, capsys, strategy):
         from repro.zoom.cli import main
 

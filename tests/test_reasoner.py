@@ -114,6 +114,10 @@ class TestCaching:
         warehouse, _spec, _run, _run_id = setup
         with pytest.raises(QueryError, match="unknown strategy"):
             ProvenanceReasoner(warehouse, strategy="magic")
+        # "indexed" and "auto" are not strategies either.
+        for retired in ("indexed", "auto"):
+            with pytest.raises(QueryError, match="unknown strategy"):
+                ProvenanceReasoner(warehouse, strategy=retired)
 
 
 class TestConvenience:

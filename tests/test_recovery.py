@@ -431,7 +431,7 @@ class TestStoreManyAtomicity:
         spec, runs = workload[0]
         spec_id = warehouse.store_spec(spec)
         return prepare_run(_PrepareTask(
-            run=runs[0].run, spec_id=spec_id, run_id=run_id, index=False,
+            run=runs[0].run, spec_id=spec_id, run_id=run_id,
         ))
 
     @pytest.mark.parametrize("backend", ["sqlite", "memory"])

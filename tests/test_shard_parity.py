@@ -18,7 +18,10 @@ from typing import List, Tuple
 import pytest
 
 from repro.core.builder import build_user_view
+from repro.core.composite import CompositeRun
+from repro.core.view import admin_view, blackbox_view
 from repro.faults import FaultPlan, InjectedCrash
+from repro.provenance.queries import deep_provenance
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.serve import AdmissionError, QueryService
 from repro.warehouse.loader import load_dataset
@@ -29,7 +32,7 @@ from repro.workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
 from repro.workloads.generator import generate_workflow
 from repro.workloads.runs import generate_run
 
-STRATEGIES = ("cached", "uncached", "indexed", "labeled", "auto")
+STRATEGIES = ("cached", "uncached", "labeled")
 
 
 def workload(n_specs=2, n_runs=4, size=10, seed=17):
@@ -75,13 +78,6 @@ def canonical(answer) -> str:
     return repr([(r.step_id, r.module, r.data_in) for r in rows])
 
 
-def reasoner_for(warehouse, strategy):
-    return ProvenanceReasoner(
-        warehouse, strategy=strategy,
-        closure_row_threshold=0 if strategy == "auto" else None,
-    )
-
-
 class TestFingerprintParity:
     @pytest.mark.parametrize("batch_size", [None, 3])
     def test_sharded_equals_single_file(self, tmp_path, batch_size):
@@ -107,35 +103,36 @@ class TestFingerprintParity:
 
 
 class TestStrategyParity:
-    def test_five_strategies_byte_identical_on_sharded(self, tmp_path):
+    def test_all_strategies_byte_identical_on_sharded(self, tmp_path):
+        """Every strategy on the federation equals the reference semantics
+        of ``provenance/queries.py`` under UAdmin, UBio and UBlackBox."""
         items = workload(n_specs=1, n_runs=3)
         spec = items[0][0]
         relevant = sorted(spec.modules)[:2]
-        view = build_user_view(spec, relevant)
+        views = (None, build_user_view(spec, relevant), blackbox_view(spec))
 
         single = SqliteWarehouse(str(tmp_path / "single.db"))
         sharded = ShardedWarehouse(str(tmp_path / "fed"), shards=4)
         try:
             load_dataset(single, items)
             load_dataset(sharded, items)
-            reference = reasoner_for(single, "uncached")
+            reasoners = [
+                ProvenanceReasoner(sharded, strategy=s) for s in STRATEGIES
+            ]
             for run_id in sharded.list_runs():
-                targets = sorted(sharded.final_outputs(run_id))
-                reasoners = [
-                    reasoner_for(sharded, s) for s in STRATEGIES
-                ]
-                for target in targets:
-                    expected = canonical(
-                        reference.deep(run_id, target, view=view)
-                    )
-                    for strategy, reasoner in zip(STRATEGIES, reasoners):
-                        got = canonical(
-                            reasoner.deep(run_id, target, view=view)
-                        )
-                        assert got == expected, (
-                            "strategy %r diverged on %s/%s"
-                            % (strategy, run_id, target)
-                        )
+                run = single.get_run(run_id)
+                for view in views:
+                    induced = CompositeRun(run, view or admin_view(spec))
+                    for target in sorted(sharded.final_outputs(run_id)):
+                        expected = canonical(deep_provenance(induced, target))
+                        for strategy, reasoner in zip(STRATEGIES, reasoners):
+                            got = canonical(
+                                reasoner.deep(run_id, target, view=view)
+                            )
+                            assert got == expected, (
+                                "strategy %r diverged on %s/%s"
+                                % (strategy, run_id, target)
+                            )
         finally:
             single.close()
             sharded.close()

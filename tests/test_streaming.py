@@ -6,8 +6,9 @@ backend (memory, SQLite, sharded) — and ``recover()`` +
 ``open_run(resume=True)`` + a replay of the same append sequence
 converge to a warehouse fingerprint byte-identical to BOTH an
 uninterrupted stream AND a cold batch load of the finished logs.  On
-top of that: incremental index deltas stay byte-identical to full
-rebuilds, and concurrent readers never observe a torn epoch.
+top of that: incremental label deltas stay byte-identical to full
+rebuilds, labeled answers after a crash, recovery and resume equal the
+reference semantics, and concurrent readers never observe a torn epoch.
 """
 
 from __future__ import annotations
@@ -17,16 +18,19 @@ import threading
 
 import pytest
 
+from repro.core.builder import build_user_view
+from repro.core.composite import CompositeRun
 from repro.core.errors import WarehouseError
+from repro.core.view import admin_view, blackbox_view
 from repro.faults import FaultPlan, InjectedCrash
 from repro.lint import Linter, lint_warehouse
 from repro.obs import MetricsRegistry, set_registry
-from repro.provenance.index import INPUT_MARKER, closure_delta_rows
 from repro.provenance.labels import (
     label_table_rows,
     labels_from_rows,
     try_extend,
 )
+from repro.provenance.queries import deep_provenance
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.run.log import EventLog, log_from_run
 from repro.warehouse.loader import load_dataset
@@ -259,8 +263,8 @@ class TestStreamCrashMatrix:
     def test_trailing_delta_watermark_drops_indexes(
         self, registry, tmp_path
     ):
-        """A kill between the epoch commit and the index delta: recovery
-        detects the trailing watermark and drops the stale indexes."""
+        """A kill between the epoch commit and the label delta: recovery
+        detects the trailing watermark and drops the stale labels."""
         spec, log = _chain_fixture()
         warehouse = make_warehouse("sqlite", tmp_path)
         spec_id = warehouse.store_spec(spec)
@@ -269,7 +273,6 @@ class TestStreamCrashMatrix:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/live", spec_id)
         ingestor.ingest_events("sw/live", chunks[0])
-        warehouse.build_lineage_index("sw/live")
         warehouse.build_label_index("sw/live")
 
         plan = FaultPlan().crash_at("stream.delta")
@@ -280,12 +283,11 @@ class TestStreamCrashMatrix:
             crasher.ingest_events("sw/live", chunks[1])
         state = warehouse.stream_state("sw/live")
         assert state.delta_epoch < state.epoch
-        assert warehouse.has_lineage_index("sw/live")
+        assert warehouse.has_label_index("sw/live")
 
         report = recover(warehouse)
         assert report.stream_desynced == ["sw/live"]
         assert registry.counter("recovery.stream_desynced").value == 1
-        assert not warehouse.has_lineage_index("sw/live")
         assert not warehouse.has_label_index("sw/live")
         state = warehouse.stream_state("sw/live")
         assert state.delta_epoch == state.epoch
@@ -393,7 +395,7 @@ class TestResumeSemantics:
 
 
 class TestIncrementalIndexes:
-    """Epoch deltas leave indexes byte-identical to a cold rebuild."""
+    """Epoch deltas leave the labels byte-identical to a cold rebuild."""
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_closure_and_label_parity_after_n_epochs(
@@ -407,24 +409,24 @@ class TestIncrementalIndexes:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/idx", spec_id)
         ingestor.ingest_events("sw/idx", chunks[0])
-        warehouse.build_lineage_index("sw/idx")
         warehouse.build_label_index("sw/idx")
         for chunk in chunks[1:]:
             ingestor.ingest_events("sw/idx", chunk)
         ingestor.finalize_run("sw/idx")
-        assert registry.counter("stream.delta").value > 0
+        # Every epoch after the build maintained the labels (a chain's
+        # epochs reshape the forest, so they take the rebuild path).
+        maintained = (registry.counter("stream.delta").value
+                      + registry.counter("stream.rebuild").value)
+        assert maintained == len(chunks) - 1
 
-        live_closure = set(warehouse.lineage_rows_raw("sw/idx"))
         live_labels = set(warehouse.label_rows_raw("sw/idx"))
-        warehouse.build_lineage_index("sw/idx", rebuild=True)
         warehouse.build_label_index("sw/idx", rebuild=True)
-        assert live_closure == set(warehouse.lineage_rows_raw("sw/idx"))
         assert live_labels == set(warehouse.label_rows_raw("sw/idx"))
         if backend != "memory":
             warehouse.close()
 
     def test_all_strategies_match_cold_rebuild(self, registry, tmp_path):
-        """After streaming with live index maintenance, every reasoner
+        """After streaming with live label maintenance, every reasoner
         strategy answers byte-identically to a cold batch warehouse."""
         spec, log = _chain_fixture()
         streamed = make_warehouse("sqlite", tmp_path)
@@ -433,7 +435,6 @@ class TestIncrementalIndexes:
         ingestor = StreamingIngestor(streamed)
         ingestor.open_run("sw/q", spec_id)
         ingestor.ingest_events("sw/q", chunks[0])
-        streamed.build_lineage_index("sw/q")
         streamed.build_label_index("sw/q")
         for chunk in chunks[1:]:
             ingestor.ingest_events("sw/q", chunk)
@@ -444,7 +445,7 @@ class TestIncrementalIndexes:
         cold.store_log(log, spec_id, run_id="sw/q")
 
         data_ids = sorted({d for _s, d, _dir in cold.io_rows("sw/q")})
-        for strategy in ("cached", "uncached", "indexed", "labeled", "auto"):
+        for strategy in ("cached", "uncached", "labeled"):
             hot = ProvenanceReasoner(streamed, strategy=strategy)
             ref = ProvenanceReasoner(cold, strategy="cached")
             for data_id in data_ids:
@@ -453,30 +454,56 @@ class TestIncrementalIndexes:
                 ), (strategy, data_id)
         streamed.close()
 
-    def test_deltas_dominate_on_canonical_streams(self, registry, tmp_path):
-        """chunk_log emits frontier-shaped epochs, so the closure delta
-        path runs every epoch and rebuilds stay rare."""
-        workload = streaming_workload(n_specs=1, n_runs=1, size=14)
-        spec, _runs, logs = workload[0]
-        warehouse = make_warehouse("memory", tmp_path)
-        spec_id = warehouse.store_spec(spec)
-        run_id, log = logs[0]
-        ingestor = StreamingIngestor(warehouse)
-        ingestor.open_run(run_id, spec_id)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("site", [None, "stream.append", "stream.delta"])
+    def test_labeled_answers_after_streaming(
+        self, site, backend, registry, tmp_path
+    ):
+        """Labels built mid-stream, optionally a kill, recover() and a
+        resumed replay: labeled answers equal provenance/queries.py under
+        UAdmin, UBio and UBlackBox."""
+        spec, log = _chain_fixture()
         chunks = chunk_log(log, max_events=MAX_EVENTS)
-        ingestor.ingest_events(run_id, chunks[0])
-        warehouse.build_lineage_index(run_id)
-        for chunk in chunks[1:]:
-            ingestor.ingest_events(run_id, chunk)
-        ingestor.finalize_run(run_id)
-        assert registry.counter("stream.delta").value == len(chunks) - 1
-        assert registry.counter("stream.rebuild").value == 0
+        plan = FaultPlan() if site is None else FaultPlan().crash_at(site, hit=3)
+        warehouse = make_warehouse(backend, tmp_path, faults=plan)
+        spec_id = warehouse.store_spec(spec)
+        ingestor = StreamingIngestor(warehouse, faults=plan)
+        ingestor.open_run("sw/lab", spec_id)
+        ingestor.ingest_events("sw/lab", chunks[0])
+        warehouse.build_label_index("sw/lab")
+        if site is None:
+            for chunk in chunks[1:]:
+                ingestor.ingest_events("sw/lab", chunk)
+            ingestor.finalize_run("sw/lab")
+        else:
+            with pytest.raises(InjectedCrash):
+                for chunk in chunks[1:]:
+                    ingestor.ingest_events("sw/lab", chunk)
+            warehouse = reopen(backend, tmp_path, warehouse)
+            recover(warehouse)
+            resumed = StreamingIngestor(warehouse)
+            resumed.open_run("sw/lab", resume=True)
+            for chunk in chunks:
+                resumed.ingest_events("sw/lab", chunk)
+            resumed.finalize_run("sw/lab")
+
+        run = warehouse.get_run("sw/lab")
+        reasoner = ProvenanceReasoner(warehouse, strategy="labeled")
+        for view in (None, build_user_view(spec, {"M2"}),
+                     blackbox_view(spec)):
+            induced = CompositeRun(run, view or admin_view(spec))
+            for data_id in sorted(run.final_outputs()):
+                assert reasoner.deep("sw/lab", data_id, view=view) == \
+                    deep_provenance(induced, data_id), (view, data_id)
+        assert warehouse.has_label_index("sw/lab")
+        if backend != "memory":
+            warehouse.close()
 
     def test_non_frontier_epoch_falls_back_to_rebuild(
         self, registry, tmp_path
     ):
         """Chunking that splits a step block forces the rebuild path —
-        and the result still matches the delta path's."""
+        and the result still matches a cold rebuild."""
         spec, log = _chain_fixture()
         warehouse = make_warehouse("memory", tmp_path)
         spec_id = warehouse.store_spec(spec)
@@ -485,7 +512,7 @@ class TestIncrementalIndexes:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/split", spec_id)
         ingestor.ingest_events("sw/split", events[:2])
-        warehouse.build_lineage_index("sw/split")
+        warehouse.build_label_index("sw/split")
         # Split mid-block: io rows arrive pointing at steps from this
         # very epoch *and* earlier ones in non-frontier order.
         for index in range(2, len(events)):
@@ -493,9 +520,9 @@ class TestIncrementalIndexes:
         ingestor.finalize_run("sw/split")
         assert registry.counter("stream.rebuild").value > 0
 
-        live = set(warehouse.lineage_rows_raw("sw/split"))
-        warehouse.build_lineage_index("sw/split", rebuild=True)
-        assert live == set(warehouse.lineage_rows_raw("sw/split"))
+        live = set(warehouse.label_rows_raw("sw/split"))
+        warehouse.build_label_index("sw/split", rebuild=True)
+        assert live == set(warehouse.label_rows_raw("sw/split"))
 
 
 class TestChunkLog:
@@ -519,26 +546,7 @@ class TestChunkLog:
 
 
 class TestDeltaPrimitives:
-    """Unit tests for closure_delta_rows and try_extend."""
-
-    def test_closure_delta_matches_rebuild_on_boundary(self):
-        # Epoch 1: input -> s1 -> d1.  Epoch 2: d1 -> s2 -> d2.
-        base = {"d1": [("s1", "d0")]}
-
-        rows = closure_delta_rows(
-            "r", [("s2", "M2")], [("s2", "d1", "in"), ("s2", "d2", "out")],
-            [], lambda d: _FakeResult(base[d], {"d0"}),
-        )
-        assert ("d2", "s2", "d1") in rows
-        assert ("d2", "s1", "d0") in rows
-        assert ("d2", INPUT_MARKER, "d0") in rows
-
-    def test_non_frontier_delta_raises(self):
-        with pytest.raises(WarehouseError, match="frontier-shaped"):
-            closure_delta_rows(
-                "r", [], [("old_step", "d9", "out")], [],
-                lambda d: _FakeResult([], set()),
-            )
+    """Unit tests for try_extend."""
 
     def test_try_extend_appends_forest_roots(self):
         steps = [("s1", "M1")]
@@ -820,7 +828,7 @@ class TestLintRules:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/trail", spec_id)
         ingestor.ingest_events("sw/trail", chunks[0])
-        warehouse.build_lineage_index("sw/trail")
+        warehouse.build_label_index("sw/trail")
 
         plan = FaultPlan().crash_at("stream.delta")
         crasher = StreamingIngestor(warehouse, faults=plan)
@@ -896,20 +904,6 @@ class TestCli:
 # ----------------------------------------------------------------------
 # Fixtures and helpers
 # ----------------------------------------------------------------------
-
-
-class _FakeRow:
-    def __init__(self, step_id, data_in):
-        self.step_id = step_id
-        self.data_in = data_in
-
-
-class _FakeResult:
-    """Just enough of ProvenanceResult for closure_delta_rows."""
-
-    def __init__(self, pairs, user_inputs):
-        self.rows = [_FakeRow(s, d) for s, d in pairs]
-        self.user_inputs = frozenset(user_inputs)
 
 
 def _chain_fixture():

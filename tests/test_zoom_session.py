@@ -131,7 +131,7 @@ class TestViewBuilding:
         session.unflag("M5")
         session.flag("M5")  # back to a memoised relevant set
         stats = session.stats()
-        assert set(stats) == {"views", "runs", "composites", "closures"}
+        assert set(stats) == {"views", "runs", "composites", "closures", "labels"}
         assert stats["views"]["hits"] >= 1
         assert stats["composites"]["hits"] >= 1
         assert stats["runs"]["misses"] == 1
